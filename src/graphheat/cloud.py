@@ -102,12 +102,17 @@ def knn(cloud, query, k):
 
     Distances are ambient Euclidean; ties are broken by lower index.
     """
+    return _nearest_indices(cloud, query, k)[0]
+
+
+def _nearest_indices(cloud, queries, k):
+    """knn for a batch: row i holds the k nearest indices to queries[i]."""
     if not 1 <= k <= cloud.n:
         raise ValueError("k must satisfy 1 <= k <= n, got k=%d n=%d" % (k, cloud.n))
-    q = np.asarray(query, dtype=float)
-    d = np.linalg.norm(cloud.points - q, axis=1)
-    order = np.argsort(d, kind="stable")
-    return order[:k]
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    d2 = np.sum((q[:, None, :] - cloud.points[None, :, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[:, :k]
 
 
 def save_csv(cloud, path):

@@ -15,6 +15,11 @@ replicate share geometry and, when the labeled set is a prefix, share data.
 All result files are byte-deterministic for a given config.  The manifest
 additionally records wall time and library versions, so only the manifest
 differs between identical runs.
+
+Every kind builds its cloud, basis, prior and labels through ``_problem``,
+except spectra and regularity, which need only the eigenbasis from
+``_basis``.  Pipeline functions are called through the names this module
+imports, because ``bench/tracing.py`` rebinds them here to trace them.
 """
 
 import dataclasses
@@ -140,6 +145,8 @@ def validate_config(cfg):
         sizes = (cfg.n,)
     if any(int(n) < 2 for n in sizes):
         errs.append("n: every cloud size must be at least 2")
+    elif cfg.kind == "posterior" and cfg.n < 4:
+        errs.append("n: the k=4 push-forward needs at least 4 points")
     if cfg.m < 1:
         errs.append("m: intrinsic dimension must be at least 1")
     if cfg.eps_multiplier <= 0:
@@ -149,6 +156,9 @@ def validate_config(cfg):
         errs.append("eps_multipliers: need a nonempty list of positive values")
     if cfg.alpha < 0:
         errs.append("alpha: must be nonnegative")
+    elif cfg.alpha == 0 and cfg.kind != "spectra":
+        errs.append("alpha: must be positive, the prior keeps the constant "
+                    "mode")
     needs_prior = cfg.kind in ("posterior", "acceptance-sweep",
                                "supervised-sweep", "oracle-compare",
                                "prior-sample")
@@ -166,6 +176,10 @@ def validate_config(cfg):
             errs.append("burn_in: must lie in [0, iterations)")
         if cfg.thinning < 1:
             errs.append("thinning: must be at least 1")
+        elif (0 <= cfg.burn_in < cfg.iterations and len(range(
+                cfg.burn_in, cfg.iterations, cfg.thinning)) < 4):
+            errs.append("iterations: the IACT needs at least 4 samples kept "
+                        "after burn_in and thinning")
     if cfg.kind in ("posterior", "acceptance-sweep", "oracle-compare"):
         if cfg.p < 1:
             errs.append("p: must be positive")
@@ -205,6 +219,9 @@ def validate_config(cfg):
         errs.append("grid_size: must be positive")
     if cfg.knn_k < 1:
         errs.append("knn_k: must be at least 1")
+    elif cfg.kind == "oracle-compare" and any(cfg.knn_k > int(n)
+                                              for n in sizes):
+        errs.append("knn_k: exceeds the smallest cloud size in the sweep")
     return errs
 
 
@@ -239,8 +256,8 @@ def _cloud(cfg, n, replicate):
     return sample_sphere(n, seed=100 + cfg.seed + replicate)
 
 
-def _basis(cfg, cl, k):
-    eps = default_eps(cl.n, cfg.m, cfg.eps_multiplier)
+def _basis(cfg, cl, k, eps_multiplier=None):
+    eps = default_eps(cl.n, cfg.m, eps_multiplier or cfg.eps_multiplier)
     g = build_eps_graph(cl, eps)
     lap = laplacian(g, calibration=_calibration(cfg, cl.n))
     return eigendecompose(lap, k), eps
@@ -263,19 +280,32 @@ def truth_coefficients(cont):
     return coeffs
 
 
-def _posterior_chain(cfg, n, p, replicate):
-    """Build one sweep point end to end; returns diagnostics and pieces."""
+def _problem(cfg, n, replicate, p=None):
+    """Cloud, truncated basis and prior of one (n, replicate) point.
+
+    Given p, also the labels synthesized from DEFAULT_TRUTH at the first p
+    cloud points; otherwise the labels are None.
+    """
     cl = _cloud(cfg, n, replicate)
     kn = _truncation(cfg, n)
     basis, _ = _basis(cfg, cl, kn)
-    cont = ContinuumBasis(cfg.l_max)
-    design = first_p_design(p)
-    model = NoiseModel(cfg.noise, cfg.sigma)
-    data = synthesize_data(truth_coefficients(cont), cont, cfg.t, design, cl,
-                           model, seed=500 + cfg.seed + replicate)
     spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cfg.m)
-    mat = design_matrix(basis, cfg.t, design, cl)
-    phi = potential_from_design_matrix(mat, data, model)
+    data = None
+    if p is not None:
+        cont = ContinuumBasis(cfg.l_max)
+        data = synthesize_data(truth_coefficients(cont), cont, cfg.t,
+                               first_p_design(p), cl,
+                               NoiseModel(cfg.noise, cfg.sigma),
+                               seed=500 + cfg.seed + replicate)
+    return cl, basis, spec, data
+
+
+def _posterior_chain(cfg, n, p, replicate):
+    """Build one posterior end to end and run its pCN chain."""
+    cl, basis, spec, data = _problem(cfg, n, replicate, p)
+    mat = design_matrix(basis, cfg.t, data.design, cl)
+    phi = potential_from_design_matrix(mat, data,
+                                       NoiseModel(cfg.noise, cfg.sigma))
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
                        burn_in=cfg.burn_in, thinning=cfg.thinning,
                        seed=900 + cfg.seed + replicate)
@@ -283,8 +313,8 @@ def _posterior_chain(cfg, n, p, replicate):
     return cl, basis, spec, data, chain
 
 
-def _sweep_point(cfg, n, supervised, replicate):
-    p = n if supervised else cfg.p
+def _sweep_point(cfg, n, replicate):
+    p = n if cfg.kind == "supervised-sweep" else cfg.p
     _, basis, _, _, chain = _posterior_chain(cfg, n, p, replicate)
     trace = chain.samples @ basis.eigenvectors[0, :]
     return {
@@ -293,8 +323,19 @@ def _sweep_point(cfg, n, supervised, replicate):
     }
 
 
-def _sweep_jobs(cfg, supervised):
-    return [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
+def _compare_point(cfg, n, replicate):
+    cl, basis, spec, data = _problem(cfg, n, replicate, cfg.p)
+    orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
+    grid = sphere_mc_grid(cfg.grid_size)
+    push = knn_interpolate(orc.mean, cl, cfg.knn_k, grid.points)
+    # Continuum prior truncated at the same harmonic count as the graph
+    # prior, so the two posteriors see matching model classes.
+    l_cont = 0
+    while (l_cont + 2) ** 2 <= spec.k_n and l_cont < cfg.l_max:
+        l_cont += 1
+    co = continuum_posterior(data, ContinuumBasis(l_cont), spec, cfg.t,
+                             cfg.sigma, grid.points, cl)
+    return float(l2_distance(push, co.mean))
 
 
 def _seed_record(cfg, n, replicate):
@@ -308,19 +349,27 @@ def _seed_record(cfg, n, replicate):
 
 
 # Top level so a process pool can pickle it.
-def _sweep_worker(args):
-    cfg_json, n, supervised, replicate = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    return (n, replicate), _sweep_point(cfg, n, supervised, replicate)
+def _grid_worker(args):
+    point, cfg_json, n, replicate = args
+    return point(ExperimentConfig.from_json(cfg_json), n, replicate)
 
 
-def _run_jobs(worker, args, jobs):
-    if jobs <= 1 or len(args) <= 1:
-        return [worker(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
+def _run_grid(cfg, jobs, point):
+    """point(cfg, n, r) over cfg.n_grid x replicates, in `jobs` processes.
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, args))
+    Returns the results keyed by (n, r) and the seed records in grid order.
+    """
+    pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
+    if jobs <= 1 or len(pairs) <= 1:
+        values = [point(cfg, n, r) for n, r in pairs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        args = [(point, cfg.to_json(), n, r) for n, r in pairs]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            values = list(pool.map(_grid_worker, args))
+    seeds = [_seed_record(cfg, n, r) for n, r in pairs]
+    return dict(zip(pairs, values)), seeds
 
 
 # --- CSV / SVG formatting ------------------------------------------------
@@ -406,19 +455,14 @@ def _svg_line_plot(title, xlabel, ylabel, series):
 
 
 def _run_spectra(cfg, jobs):
-    files, metrics = {}, {}
-    count = min(50, cfg.n)
+    files, errs, series = {}, {}, []
     cl = _cloud(cfg, cfg.n, 0)
-    cont = ContinuumBasis(12)
-    lam_cont = cont.eigenvalues
+    lam_cont = ContinuumBasis(12).eigenvalues
     reference = np.array([2.0] * 3 + [6.0] * 5)
-    errs = {}
     for mult in cfg.eps_multipliers:
-        eps = default_eps(cfg.n, cfg.m, mult)
-        g = build_eps_graph(cl, eps)
-        lap = laplacian(g, calibration=_calibration(cfg, cfg.n))
-        basis = eigendecompose(lap, min(count, cfg.n))
-        rows = [(i + 1, float(basis.eigenvalues[i]),
+        basis, _ = _basis(cfg, cl, min(50, cfg.n), mult)
+        lam = [float(x) for x in basis.eigenvalues]
+        rows = [(i + 1, lam[i],
                  float(lam_cont[i]) if i < lam_cont.size else math.nan)
                 for i in range(basis.count)]
         files["spectra_eps%g.csv" % mult] = _csv(
@@ -426,29 +470,21 @@ def _run_spectra(cfg, jobs):
         if basis.count >= 9:
             errs["%g" % mult] = float(np.mean(
                 np.abs(basis.eigenvalues[1:9] / reference - 1.0)))
-    metrics["mean_rel_error_modes_2_9"] = errs
-    series = []
-    for mult in cfg.eps_multipliers:
-        rows = files["spectra_eps%g.csv" % mult].strip().split("\n")[1:]
-        xs = [float(r.split(",")[0]) for r in rows]
-        ys = [float(r.split(",")[1]) for r in rows]
-        series.append(("eps x%g" % mult, xs, ys))
-    rows0 = files["spectra_eps%g.csv" % cfg.eps_multipliers[0]]
-    n_rows = len(rows0.strip().split("\n")) - 1
+        series.append(("eps x%g" % mult,
+                       [float(i + 1) for i in range(basis.count)], lam))
+    n_rows = len(series[0][1])
     series.append(("sphere", list(range(1, n_rows + 1)),
                    [float(lam_cont[i]) for i in range(n_rows)]))
     files["spectra.svg"] = _svg_line_plot(
         "graph vs sphere spectrum (n=%d)" % cfg.n, "index", "eigenvalue",
         series)
+    metrics = {"mean_rel_error_modes_2_9": errs}
     return files, metrics, [_seed_record(cfg, cfg.n, 0)]
 
 
 def _run_regularity(cfg, jobs):
     cl = _cloud(cfg, cfg.n, 0)
-    eps = default_eps(cfg.n, cfg.m, cfg.eps_multiplier)
-    g = build_eps_graph(cl, eps)
-    lap = laplacian(g, calibration=_calibration(cfg, cfg.n))
-    basis = eigendecompose(lap, cfg.n)
+    basis, eps = _basis(cfg, cl, cfg.n)
     table = regularity_experiment(basis, cl, eps, cfg.s_grid, cfg.draws,
                                   700 + cfg.seed, alpha=cfg.alpha)
     rows = [(s, mx, float(np.log(mx)) if mx > 0 else -math.inf)
@@ -495,10 +531,8 @@ def _run_posterior(cfg, jobs):
     return files, metrics, [_seed_record(cfg, cfg.n, 0)]
 
 
-def _run_sweep(cfg, jobs, supervised):
-    pairs = _sweep_jobs(cfg, supervised)
-    args = [(cfg.to_json(), n, supervised, r) for n, r in pairs]
-    results = dict(_run_jobs(_sweep_worker, args, jobs))
+def _run_sweep(cfg, jobs):
+    results, seeds = _run_grid(cfg, jobs, _sweep_point)
     run_rows, acc_rows, iact_rows = [], [], []
     acc_med, iact_med = {}, {}
     for n in cfg.n_grid:
@@ -517,47 +551,19 @@ def _run_sweep(cfg, jobs, supervised):
                                     run_rows),
     }
     files["acceptance.svg"] = _svg_line_plot(
-        "pCN acceptance rate" + (" (p = n)" if supervised else " (p = %d)"
-                                 % cfg.p),
+        "pCN acceptance rate" + (" (p = n)" if cfg.kind == "supervised-sweep"
+                                 else " (p = %d)" % cfg.p),
         "n", "acceptance",
         [("", [float(n) for n, _ in acc_rows], [a for _, a in acc_rows])])
     metrics = {"acceptance": {str(n): acc_med[n] for n in cfg.n_grid},
                "iact": {str(n): iact_med[n] for n in cfg.n_grid}}
-    seeds = [_seed_record(cfg, n, r) for n, r in pairs]
     return files, metrics, seeds
 
 
-# Top level for pickling.
-def _compare_worker(args):
-    cfg_json, n, replicate = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    cl = _cloud(cfg, n, replicate)
-    kn = _truncation(cfg, n)
-    basis, _ = _basis(cfg, cl, kn)
-    cont = ContinuumBasis(cfg.l_max)
-    design = first_p_design(cfg.p)
-    model = NoiseModel(cfg.noise, cfg.sigma)
-    data = synthesize_data(truth_coefficients(cont), cont, cfg.t, design, cl,
-                           model, seed=500 + cfg.seed + replicate)
-    spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cfg.m)
-    orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
-    grid = sphere_mc_grid(cfg.grid_size)
-    push = knn_interpolate(orc.mean, cl, cfg.knn_k, grid.points)
-    # Continuum prior truncated at the same harmonic count as the graph
-    # prior, so the two posteriors see matching model classes.
-    l_cont = 0
-    while (l_cont + 2) ** 2 <= kn and l_cont < cfg.l_max:
-        l_cont += 1
-    co = continuum_posterior(data, ContinuumBasis(l_cont), spec, cfg.t,
-                             cfg.sigma, grid.points, cl)
-    return (n, replicate), float(l2_distance(push, co.mean))
-
-
 def _run_compare(cfg, jobs):
-    pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
-    args = [(cfg.to_json(), n, r) for n, r in pairs]
-    results = dict(_run_jobs(_compare_worker, args, jobs))
-    rows = [(r, n, results[(n, r)]) for n, r in pairs]
+    results, seeds = _run_grid(cfg, jobs, _compare_point)
+    rows = [(r, n, results[(n, r)])
+            for n in cfg.n_grid for r in range(cfg.replicates)]
     medians = {n: float(np.median([results[(n, r)]
                                    for r in range(cfg.replicates)]))
                for n in cfg.n_grid}
@@ -567,14 +573,11 @@ def _run_compare(cfg, jobs):
         [("", [float(n) for n in cfg.n_grid],
           [medians[n] for n in cfg.n_grid])])
     metrics = {"median_distance": {str(n): medians[n] for n in cfg.n_grid}}
-    return files, metrics, [_seed_record(cfg, n, r) for n, r in pairs]
+    return files, metrics, seeds
 
 
 def _run_prior_sample(cfg, jobs):
-    cl = _cloud(cfg, cfg.n, 0)
-    kn = _truncation(cfg, cfg.n)
-    basis, _ = _basis(cfg, cl, kn)
-    spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cfg.m)
+    cl, basis, spec, _ = _problem(cfg, cfg.n, 0)
     draws = [sample_graph_prior(basis, spec, 700 + cfg.seed + j)
              for j in range(cfg.draws)]
     header = ["x", "y", "z"] + ["draw_%d" % j for j in range(cfg.draws)]
@@ -588,8 +591,8 @@ _RUNNERS = {
     "spectra": _run_spectra,
     "regularity": _run_regularity,
     "posterior": _run_posterior,
-    "acceptance-sweep": lambda cfg, jobs: _run_sweep(cfg, jobs, False),
-    "supervised-sweep": lambda cfg, jobs: _run_sweep(cfg, jobs, True),
+    "acceptance-sweep": _run_sweep,
+    "supervised-sweep": _run_sweep,
     "oracle-compare": _run_compare,
     "prior-sample": _run_prior_sample,
 }

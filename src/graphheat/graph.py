@@ -128,11 +128,3 @@ def laplacian(graph, calibration=1.0):
     """Assemble the unnormalized graph Laplacian D - W, scaled by calibration."""
     return GraphLaplacian(graph, calibration)
 
-
-def export_weights(graph, path):
-    """Dump the weight matrix as `i j value` rows (upper triangle) for inspection."""
-    coo = sparse.triu(graph.weights, k=1).tocoo()
-    with open(path, "w") as fh:
-        fh.write("# i j weight\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (i, j, v))

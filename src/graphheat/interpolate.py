@@ -8,20 +8,11 @@ a fixed seeded Monte Carlo sphere grid.
 
 import numpy as np
 
-from .cloud import sample_sphere
+from .cloud import _nearest_indices, sample_sphere
 from .oracle import PosteriorSummary
 
 DEFAULT_GRID_SEED = 1729
 DEFAULT_GRID_SIZE = 10**4
-
-
-def _nearest_indices(cloud, queries, k):
-    if not 1 <= k <= cloud.n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    d2 = np.sum((q[:, None, :] - cloud.points[None, :, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
 
 
 def knn_interpolate(u, cloud, k, queries):

@@ -41,7 +41,7 @@ def test_validate_unknown_kind_suggests():
     assert "acceptance-sweep" in errs[0]     # catalog listed in the message
 
 
-def test_validate_field_errors():
+def test_validate_field_errors(tmp_path):
     cfg = ExperimentConfig(kind="posterior", s=1.5, beta=0.0, sigma=-1.0)
     errs = validate_config(cfg)
     joined = "\n".join(errs)
@@ -58,6 +58,31 @@ def test_validate_field_errors():
     assert any("gaussian" in e for e in validate_config(cfg))
 
     assert validate_config(ExperimentConfig(kind="spectra", n=60)) == []
+    assert validate_config(ExperimentConfig(kind="spectra", n=60,
+                                            alpha=0.0)) == []
+
+    # Configs that used to validate and then fail partway through a run.
+    C = ExperimentConfig
+    for cfg, field in [
+        # every prior keeps the constant mode, so alpha = 0 cannot run
+        (C(kind="posterior", n=60, p=10, alpha=0.0), "alpha"),
+        (C(kind="prior-sample", n=30, alpha=0.0), "alpha"),
+        (C(kind="oracle-compare", n_grid=(40,), p=10, alpha=0.0), "alpha"),
+        (C(kind="regularity", n=50, alpha=0.0), "alpha"),
+        (C(kind="acceptance-sweep", n_grid=(40,), p=10, alpha=0.0), "alpha"),
+        # too few retained samples for the IACT
+        (C(kind="posterior", n=60, p=10, iterations=10, burn_in=8),
+         "iterations"),
+        (C(kind="supervised-sweep", n_grid=(40,), iterations=100, burn_in=10,
+           thinning=40), "iterations"),
+        (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
+        (C(kind="posterior", n=3, p=2), "n"),
+    ]:
+        errs = validate_config(cfg)
+        assert any(e.startswith(field + ": ") for e in errs), (cfg, errs)
+        with pytest.raises(ValueError, match="invalid config"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_catalog_covers_all_kinds():
@@ -77,12 +102,26 @@ def test_truth_coefficient_placement():
     assert np.count_nonzero(coeffs) == len(DEFAULT_TRUTH)
 
 
-def spectra_cfg():
-    return ExperimentConfig(kind="spectra", n=60, eps_multipliers=(2.0,))
+def toy_cfg(kind, **overrides):
+    """Every kind at a size that runs in well under a second."""
+    chain = dict(k_n=4, l_max=3, beta=0.3, iterations=200, burn_in=50)
+    base = {
+        "spectra": dict(n=60, eps_multipliers=(2.0,)),
+        "regularity": dict(n=50, s_grid=(2, 4), draws=3),
+        "posterior": dict(n=60, p=20, grid_size=150, **chain),
+        "acceptance-sweep": dict(n_grid=(40, 60), p=10, replicates=2, **chain),
+        "supervised-sweep": dict(n_grid=(40, 60), replicates=2, t=0.0,
+                                 **chain),
+        "oracle-compare": dict(n_grid=(40, 60), p=10, k_n=4, l_max=3,
+                               replicates=2, grid_size=100),
+        "prior-sample": dict(n=30, k_n=5, draws=2),
+    }[kind]
+    base.update(overrides)
+    return ExperimentConfig(kind=kind, **base)
 
 
 def test_spectra_run_outputs(tmp_path):
-    path = run_experiment(spectra_cfg(), out_dir=str(tmp_path))
+    path = run_experiment(toy_cfg("spectra"), out_dir=str(tmp_path))
     man = json.load(open(path))
     assert man["schema"] == 1
     assert man["kind"] == "spectra"
@@ -101,22 +140,44 @@ def test_spectra_run_outputs(tmp_path):
     assert float(first[2]) == 0.0
 
 
-def test_manifest_reruns_identically(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    path = run_experiment(spectra_cfg(), out_dir=str(a))
-    cfg2 = ExperimentConfig.from_json(open(path).read())
-    assert cfg2 == spectra_cfg()
-    run_experiment(cfg2, out_dir=str(b))
-    for name in ("spectra_eps2.csv", "spectra.svg"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def run_outputs(cfg, out, jobs=1):
+    """Run cfg into out; return every output's bytes, wall time dropped."""
+    run_experiment(cfg, out_dir=str(out), jobs=jobs)
+    files = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    man = json.loads(files.pop("manifest.json"))
+    assert sorted(files) == man["outputs"]
+    del man["wall_time_s"]
+    return files, man
+
+
+REPLAY_CASES = {
+    "spectra": toy_cfg("spectra"),
+    "regularity": toy_cfg("regularity"),
+    "posterior": toy_cfg("posterior"),
+    "posterior-probit": toy_cfg("posterior", noise="probit"),
+    "acceptance-sweep-auto": toy_cfg("acceptance-sweep", k_n="auto"),
+    "supervised-sweep": toy_cfg("supervised-sweep"),
+    "oracle-compare-auto-knn2": toy_cfg("oracle-compare", k_n="auto",
+                                        knn_k=2),
+    "prior-sample-calibration": toy_cfg("prior-sample", calibration=2.0),
+}
+
+
+@pytest.mark.parametrize("cfg", REPLAY_CASES.values(), ids=REPLAY_CASES)
+def test_manifest_reruns_identically(tmp_path, cfg):
+    files, man = run_outputs(cfg, tmp_path / "a")
+    cfg2 = ExperimentConfig.from_json(
+        (tmp_path / "a" / "manifest.json").read_text())
+    assert cfg2 == cfg
+    again, man2 = run_outputs(cfg2, tmp_path / "b")
+    assert again == files
+    assert man2 == man
 
 
 def test_seed_moves_the_cloud(tmp_path):
-    import dataclasses
-
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(spectra_cfg(), out_dir=str(a))
-    run_experiment(dataclasses.replace(spectra_cfg(), seed=1), out_dir=str(b))
+    run_experiment(toy_cfg("spectra"), out_dir=str(a))
+    run_experiment(toy_cfg("spectra", seed=1), out_dir=str(b))
     assert (a / "spectra_eps2.csv").read_bytes() != \
         (b / "spectra_eps2.csv").read_bytes()
 
@@ -127,7 +188,7 @@ def test_failed_write_leaves_no_partial_outputs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ex.json, "dump", boom)
     with pytest.raises(OSError):
-        run_experiment(spectra_cfg(), out_dir=str(tmp_path))
+        run_experiment(toy_cfg("spectra"), out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []
 
 
@@ -175,15 +236,8 @@ def test_probit_posterior_classifies(tmp_path):
     assert labels <= {"1", "-1"}
 
 
-def sweep_cfg(**overrides):
-    base = dict(kind="acceptance-sweep", n_grid=(40, 60), p=10, k_n=4,
-                l_max=3, beta=0.3, iterations=200, burn_in=50, replicates=2)
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
 def test_sweep_run(tmp_path):
-    path = run_experiment(sweep_cfg(), out_dir=str(tmp_path))
+    path = run_experiment(toy_cfg("acceptance-sweep"), out_dir=str(tmp_path))
     man = json.load(open(path))
     assert set(man["metrics"]["acceptance"]) == {"40", "60"}
     assert len(man["seeds"]) == 4
@@ -200,16 +254,39 @@ def test_sweep_run(tmp_path):
 
 def test_sweep_parallel_matches_serial(tmp_path):
     a, b = tmp_path / "serial", tmp_path / "parallel"
-    run_experiment(sweep_cfg(), out_dir=str(a), jobs=1)
-    run_experiment(sweep_cfg(), out_dir=str(b), jobs=2)
+    run_experiment(toy_cfg("acceptance-sweep"), out_dir=str(a), jobs=1)
+    run_experiment(toy_cfg("acceptance-sweep"), out_dir=str(b), jobs=2)
     assert (a / "acceptance_runs.csv").read_bytes() == \
         (b / "acceptance_runs.csv").read_bytes()
 
 
+def test_compare_parallel_matches_serial(tmp_path):
+    cfg = toy_cfg("oracle-compare")
+    serial, _ = run_outputs(cfg, tmp_path / "serial", jobs=1)
+    parallel, _ = run_outputs(cfg, tmp_path / "parallel", jobs=2)
+    assert parallel["consistency.csv"] == serial["consistency.csv"]
+
+
+@pytest.mark.parametrize("kind", ["acceptance-sweep", "oracle-compare"])
+def test_grid_builds_one_graph_per_point(tmp_path, monkeypatch, kind):
+    built = []
+    build = ex.build_eps_graph
+
+    def counting(cloud, *args, **kwargs):
+        built.append((cloud.n, cloud.seed))
+        return build(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "build_eps_graph", counting)
+    cfg = toy_cfg(kind)
+    run_experiment(cfg, out_dir=str(tmp_path), jobs=1)
+    assert sorted(built) == sorted(
+        (n, 100 + cfg.seed + r) for n in cfg.n_grid
+        for r in range(cfg.replicates))
+
+
 def test_supervised_sweep_labels_everything(tmp_path):
     # p is ignored in favor of p = n; exceeding the smallest n is fine here
-    cfg = sweep_cfg(kind="supervised-sweep", n_grid=(40,), p=99999,
-                    replicates=1, t=0.0)
+    cfg = toy_cfg("supervised-sweep", n_grid=(40,), p=99999, replicates=1)
     assert validate_config(cfg) == []
     path = run_experiment(cfg, out_dir=str(tmp_path))
     man = json.load(open(path))

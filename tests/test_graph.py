@@ -14,7 +14,6 @@ from graphheat import (
     sphere_calibration,
     unit_ball_volume,
 )
-from graphheat.graph import export_weights
 
 
 def two_point_cloud(dist=1.0):
@@ -123,13 +122,3 @@ def test_dirichlet_form_identity(seed):
     direct = 0.5 * float(np.sum(w * (u[:, None] - u[None, :]) ** 2))
     assert quad == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
-
-def test_export_weights(tmp_path, graph120):
-    path = tmp_path / "weights.txt"
-    export_weights(graph120, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("#")
-    i, j, v = lines[1].split()
-    assert int(j) > int(i) >= 0 and float(v) > 0
-    # upper triangle only, one line per undirected edge
-    assert len(lines) - 1 == graph120.weights.nnz // 2
