@@ -38,6 +38,7 @@ class PointCloud:
         self.intrinsic_dim = m
         self.seed = seed
         self._dists = None
+        self._balls = None
 
     @property
     def n(self):
@@ -55,6 +56,26 @@ class PointCloud:
             d.setflags(write=False)
             self._dists = d
         return self._dists
+
+    def eps_balls(self, eps):
+        """Closed eps-balls as CSR neighbour lists ``(indptr, indices)``.
+
+        ``indices[indptr[i]:indptr[i + 1]]`` lists, ascending, every j with
+        ``pairwise_distances()[i, j] <= eps``; i itself is always among them.
+        The lists for the last eps asked for are cached, so the per-draw
+        diagnostics of a regularity study build them once.
+        """
+        if not eps > 0:
+            raise ValueError("eps must be positive")
+        if self._balls is None or self._balls[0] != eps:
+            mask = self.pairwise_distances() <= eps
+            indptr = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+            indices = np.nonzero(mask)[1]
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._balls = (eps, indptr, indices)
+        return self._balls[1], self._balls[2]
 
     def __eq__(self, other):
         if not isinstance(other, PointCloud):

@@ -3,7 +3,10 @@
 A prior draw is u = sum_{i<k_n} (alpha + lambda_i)^(-s/4) xi_i psi_i with
 i.i.d. standard normal xi.  The same construction runs on graph bases and on
 the sphere harmonic basis.  Diagnostics: the H^s seminorm, the oscillation
-statistic over closed eps-balls, and the graph p-Laplacian energy.
+statistic over closed eps-balls, and the graph p-Laplacian energy.  The two
+ball diagnostics run over the cloud's cached CSR ball lists
+(``PointCloud.eps_balls``), built once per (cloud, eps), so each call costs
+O(number of ball entries) rather than O(n^2).
 """
 
 import math
@@ -14,6 +17,10 @@ import numpy as np
 from .graph import unit_ball_volume
 
 UNTRUNCATED = None  # sentinel for k_n = n
+
+# Consecutive redraws of one regularity draw (seminorm below 1e-14) before
+# the study gives up on that s.
+MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -140,24 +147,40 @@ def _coefficients(u, basis):
     return basis.project(u.values)
 
 
+def _seminorm(eigenvalues, coeffs, s):
+    lam = eigenvalues[: coeffs.shape[0]]
+    return float(np.sum(lam**s * coeffs**2))
+
+
 def hs_seminorm(u, basis, s):
     """Sobolev-type seminorm sum_i lambda_i^s <u, psi_i>^2 over retained modes."""
-    coeffs = _coefficients(u, basis)
-    lam = basis.eigenvalues[: coeffs.shape[0]]
-    return float(np.sum(lam**s * coeffs**2))
+    return _seminorm(basis.eigenvalues, _coefficients(u, basis), s)
+
+
+def _nodal_values(u, cloud):
+    values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
+    if values.shape != (cloud.n,):
+        raise ValueError(
+            "expected %d nodal values, got shape %s" % (cloud.n, values.shape)
+        )
+    return values
 
 
 def oscillation(u, cloud, eps):
     """Per-point oscillation over closed eps-balls and its maximum.
 
     osc(x_i) = max - min of the nodal values over all cloud points within
-    distance eps of x_i (self included, so isolated points give 0).
+    distance eps of x_i (self included, so isolated points give 0).  The
+    balls are the cloud's cached CSR lists from ``cloud.eps_balls(eps)``,
+    built once per (cloud, eps); max and min are exact, so the result does
+    not depend on how the balls are stored.
     """
-    values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
-    mask = cloud.pairwise_distances() <= eps
-    hi = np.where(mask, values[None, :], -np.inf).max(axis=1)
-    lo = np.where(mask, values[None, :], np.inf).min(axis=1)
-    osc = hi - lo  # every row contains its own point, so no empty balls
+    values = _nodal_values(u, cloud)
+    indptr, indices = cloud.eps_balls(eps)
+    ball = values[indices]
+    # every ball contains its own point, so no segment is empty
+    starts = indptr[:-1]
+    osc = np.maximum.reduceat(ball, starts) - np.minimum.reduceat(ball, starts)
     return osc, float(osc.max())
 
 
@@ -170,11 +193,10 @@ def p_laplacian_energy(u, cloud, eps, p_exp):
     """
     if p_exp <= 1:
         raise ValueError("p_exp must be > 1")
-    values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
-    d = cloud.pairwise_distances()
-    mask = d <= eps
-    diffs = np.abs(values[:, None] - values[None, :])
-    total = np.sum(np.where(mask, diffs**p_exp, 0.0))
+    values = _nodal_values(u, cloud)
+    indptr, indices = cloud.eps_balls(eps)
+    diffs = np.abs(np.repeat(values, np.diff(indptr)) - values[indices])
+    total = np.sum(diffs**p_exp)
     n = cloud.n
     return float(total / (n * n * eps**p_exp))
 
@@ -191,31 +213,48 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     basis, rescale each to unit H^s seminorm, and record the maximum of the
     osc statistic over all draws and points.  Draw j of a batch uses seed
     seed + j; draws with seminorm below 1e-14 are redrawn from fresh offsets.
+    ValueError names s when no draw can reach that threshold: at once when
+    lambda_i^s * scale_i^2 is 0 for every mode (an eps-graph without edges),
+    otherwise after MAX_REDRAWS consecutive redraws of one draw.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive here; the constant mode is kept")
+    lam = basis.eigenvalues
     rows = []
     for s in s_grid:
+        s = float(s)
         # Scales computed directly: the study spans s at and below the
         # intrinsic dimension on purpose, which PriorSpec would reject.
-        scales = (alpha + basis.eigenvalues) ** (-float(s) / 4.0)
+        scales = (alpha + lam) ** (-s / 4.0)
+        if not np.any(lam**s * scales**2 > 0):
+            raise ValueError(
+                "s=%g: the H^s weight lambda_i^s (alpha + lambda_i)^(-s/2) is 0 "
+                "for every mode, so no prior draw has a positive seminorm; the "
+                "eps-graph has no edges or its spectrum is too small (raise "
+                "eps_multiplier or calibration)" % s
+            )
         worst = 0.0
         extra = 0
         for j in range(draws):
             attempt = seed + j
-            while True:
+            for _ in range(MAX_REDRAWS + 1):
                 rng = np.random.default_rng(attempt)
                 coeffs = scales * rng.standard_normal(basis.count)
-                u = CloudFunction.from_coefficients(basis, coeffs)
-                sem = hs_seminorm(u, basis, float(s))
+                sem = _seminorm(lam, coeffs, s)
                 if sem >= 1e-14:
                     break
                 extra += 1
                 attempt = seed + draws + extra
-            u = CloudFunction.from_coefficients(basis, u.coefficients / np.sqrt(sem))
+            else:
+                raise ValueError(
+                    "s=%g: %d consecutive prior draws had H^s seminorm below "
+                    "1e-14; the graph spectrum is too small for this s (raise "
+                    "calibration or eps_multiplier)" % (s, MAX_REDRAWS + 1)
+                )
+            u = CloudFunction.from_coefficients(basis, coeffs / np.sqrt(sem))
             _, mx = oscillation(u, cloud, eps)
             worst = max(worst, mx)
-        rows.append((float(s), worst))
+        rows.append((s, worst))
     return rows

@@ -15,11 +15,15 @@ from graphheat import (
     kl_tail_mass,
     laplacian,
     build_eps_graph,
+    default_eps,
+    eigendecompose,
     oscillation,
     p_laplacian_energy,
     regularity_experiment,
     sample_continuum_prior,
     sample_graph_prior,
+    sample_sphere,
+    sphere_calibration,
 )
 from graphheat.spectral import ContinuumBasis
 
@@ -126,6 +130,58 @@ def test_oscillation_constant_is_zero(sphere120):
     assert worst == 0.0
 
 
+def _dense_oscillation(values, cloud, eps):
+    # the n x n mask form the ball lists replace, kept as the reference
+    mask = cloud.pairwise_distances() <= eps
+    hi = np.where(mask, values[None, :], -np.inf).max(axis=1)
+    lo = np.where(mask, values[None, :], np.inf).min(axis=1)
+    return hi - lo
+
+
+def _dense_p_laplacian(values, cloud, eps, p_exp):
+    mask = cloud.pairwise_distances() <= eps
+    diffs = np.abs(values[:, None] - values[None, :])
+    total = np.sum(np.where(mask, diffs**p_exp, 0.0))
+    return total / (cloud.n**2 * eps**p_exp)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_ball_diagnostics_match_dense_reference(seed, d):
+    rng = np.random.default_rng(seed)
+    # 30 points near the origin plus one far away, whose ball is itself
+    pts = np.vstack([rng.standard_normal((30, d)), np.full((1, d), 50.0)])
+    cl = PointCloud(pts, 1)
+    u = rng.standard_normal(31)
+    i, j = rng.choice(30, size=2, replace=False)
+    boundary = cl.pairwise_distances()[i, j]  # a ball radius hit exactly
+    for eps in (boundary, rng.uniform(0.3, 2.0)):
+        per_point, worst = oscillation(u, cl, eps)
+        reference = _dense_oscillation(u, cl, eps)
+        assert np.array_equal(per_point, reference)
+        assert worst == reference.max()
+        assert per_point[30] == 0.0
+        assert p_laplacian_energy(u, cl, eps, 3) == pytest.approx(
+            _dense_p_laplacian(u, cl, eps, 3), rel=1e-12
+        )
+    indptr, indices = cl.eps_balls(boundary)
+    assert list(indices[indptr[30]:]) == [30]
+    assert j in indices[indptr[i]:indptr[i + 1]]
+    assert i in indices[indptr[j]:indptr[j + 1]]
+
+
+def test_eps_balls_cached_per_eps(sphere120):
+    cl = PointCloud(sphere120.points, 2)
+    first = cl.eps_balls(0.4)
+    assert all(a is b for a, b in zip(cl.eps_balls(0.4), first))
+    other = cl.eps_balls(0.5)
+    assert other[0] is not first[0] and other[1] is not first[1]
+    assert other[1].size > first[1].size
+    with pytest.raises(ValueError):
+        cl.eps_balls(0.0)
+    with pytest.raises(ValueError):
+        oscillation(np.zeros(119), cl, 0.4)
+
+
 def test_p_laplacian_hand_value():
     # two points distance 1, eps=1.5, u=(0,2), p=3:
     # (1/(n^2 eps^3)) * 2 * |2|^3 = 16 / (4 * 3.375)
@@ -161,6 +217,28 @@ def test_regularity_experiment_smoke(basis120, sphere120):
     assert rows == again
 
 
+def test_regularity_experiment_builds_balls_once(basis120, sphere120):
+    cl = PointCloud(sphere120.points, 2)
+    dense = cl.pairwise_distances
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return dense()
+
+    cl.pairwise_distances = counted
+    regularity_experiment(basis120, cl, 0.6, (2, 4, 6), draws=5, seed=0)
+    assert len(calls) == 1
+
+
+def _regularity_inputs(n, eps_multiplier, calibration):
+    # the basis and eps that kind="regularity" builds at seed 0
+    cl = sample_sphere(n, seed=100)
+    eps = default_eps(n, 2, eps_multiplier)
+    lap = laplacian(build_eps_graph(cl, eps), calibration=calibration)
+    return eigendecompose(lap, n), cl, eps
+
+
 def test_regularity_experiment_validation(basis120, sphere120):
     with pytest.raises(ValueError):
         regularity_experiment(basis120, sphere120, 0.6, (2,), draws=0, seed=0)
@@ -168,3 +246,11 @@ def test_regularity_experiment_validation(basis120, sphere120):
         regularity_experiment(
             basis120, sphere120, 0.6, (2,), draws=1, seed=0, alpha=0.0
         )
+    # no edges: every eigenvalue is 0, so no draw has a positive seminorm
+    basis, cl, eps = _regularity_inputs(6, 0.01, sphere_calibration(6))
+    with pytest.raises(ValueError, match="s=2.*eps_multiplier"):
+        regularity_experiment(basis, cl, eps, (2, 3), draws=2, seed=700)
+    # connected, but every s=8 draw has seminorm near 3e-16
+    basis, cl, eps = _regularity_inputs(300, 2.0, 1.0)
+    with pytest.raises(ValueError, match="s=8.*calibration"):
+        regularity_experiment(basis, cl, eps, (2, 8), draws=5, seed=700)
