@@ -11,7 +11,7 @@ configs and a CLI.
 
 __version__ = "0.1.0"
 
-from .cloud import PointCloud, knn, load_csv, neighbors_within, sample_sphere, save_csv
+from .cloud import PointCloud, knn, load_csv, sample_sphere, save_csv
 from .graph import (
     GeometricGraph,
     GraphLaplacian,

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import neighbors_within
 from .prior import CloudFunction
 
 POINTWISE = "pointwise"
@@ -97,8 +96,9 @@ def observation_matrix(design, cloud):
         for row, j in enumerate(design.labeled):
             mat[row, j] = 1.0
     else:
+        indptr, indices = cloud.eps_balls(design.delta)
         for row, j in enumerate(design.labeled):
-            ball = neighbors_within(cloud, j, design.delta)
+            ball = indices[indptr[j]:indptr[j + 1]]
             mat[row, ball] = 1.0 / len(ball)
     return mat
 

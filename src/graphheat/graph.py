@@ -4,6 +4,12 @@ Edge weights use the rescaled indicator kernel: every pair within distance eps
 gets the common weight (m+2) / (n^2 * alpha_m * eps^(m+2)) where alpha_m is
 the volume of the m-dimensional unit ball.  The Laplacian is D - W, optionally
 multiplied by a global spectral calibration constant.
+
+The edges are the cloud's closed eps-balls (``PointCloud.eps_balls``) minus
+each point itself, so the graph and the ball diagnostics of ``prior`` share
+one KD-tree build per (cloud, eps) and no n x n array is formed.  The balls
+are the dense ``pairwise_distances() <= eps`` exactly, boundary pairs
+included (see ``cloud``), so W equals the dense construction bit for bit.
 """
 
 import logging
@@ -87,11 +93,14 @@ def build_eps_graph(cloud, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d = cloud.pairwise_distances()
-    adj = d <= eps
-    np.fill_diagonal(adj, False)
-    w = kernel_weight(cloud.n, cloud.intrinsic_dim, eps)
-    weights = sparse.csr_matrix(adj * w)
+    n = cloud.n
+    indptr, indices = cloud.eps_balls(eps)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # every ball holds its own centre exactly once; drop it from each row
+    weights = sparse.csr_matrix(
+        (np.full(indices.size - n, kernel_weight(n, cloud.intrinsic_dim, eps)),
+         indices[indices != rows], indptr - np.arange(n + 1)),
+        shape=(n, n))
     ncomp, _ = connected_components(weights, directed=False)
     if ncomp > 1:
         logger.warning(

@@ -4,6 +4,14 @@ The interpolant at x is the mean of the nodal values over the k nearest cloud
 points (ambient distance, ties by lower index).  k=1 is the map the theory
 uses; k=4 smooths for visualization.  Cross-resolution comparisons happen on
 a fixed seeded Monte Carlo sphere grid.
+
+The neighbours come from the cloud's one KD-tree (``cloud._nearest_indices``),
+not from a grid x n distance array.  The tree's candidates are re-ranked by
+the dense squared distance with ties to the lower index, and a query whose
+neighbours the tree's distances cannot settle is answered by a dense row,
+because the tree's own rounding can order near-ties differently.  The result
+equals a stable argsort of the dense grid x n squared distances, which the
+tests keep as the reference.
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ from graphheat import (
     ContinuumBasis,
     DEFAULT_TRUTH,
     ExperimentConfig,
+    PointCloud,
     run_experiment,
     truth_coefficients,
     validate_config,
@@ -282,6 +283,20 @@ def test_grid_builds_one_graph_per_point(tmp_path, monkeypatch, kind):
     assert sorted(built) == sorted(
         (n, 100 + cfg.seed + r) for n in cfg.n_grid
         for r in range(cfg.replicates))
+
+
+def test_runs_call_no_dense_distances(tmp_path, monkeypatch):
+    dense = []
+    reference = PointCloud.pairwise_distances
+
+    def counting(cloud):
+        dense.append(cloud.n)
+        return reference(cloud)
+
+    monkeypatch.setattr(PointCloud, "pairwise_distances", counting)
+    for kind in ("oracle-compare", "posterior", "regularity"):
+        run_experiment(toy_cfg(kind), out_dir=str(tmp_path / kind), jobs=1)
+    assert dense == []
 
 
 def test_supervised_sweep_labels_everything(tmp_path):

@@ -114,6 +114,22 @@ def test_observation_matrix_ball_rows_average(sphere120):
     assert np.allclose(row[nz], 1.0 / len(nz))
 
 
+def test_observation_matrix_ball_rows_match_dense_reference(sphere120):
+    cl = PointCloud(sphere120.points, 2)
+    dist = cl.pairwise_distances()
+    labeled = (0, 7, 30)
+    for far in (5, 40, 99):
+        delta = dist[0, far]  # the ball around point 0 reaches `far` exactly
+        design = ObservationDesign(labeled, mode="ball", delta=delta)
+        ref = np.zeros((len(labeled), cl.n))
+        for row, j in enumerate(labeled):
+            inside = dist[j] <= delta
+            ref[row, inside] = 1.0 / np.count_nonzero(inside)
+        mat = observation_matrix(design, cl)
+        assert np.array_equal(mat, ref)
+        assert mat[0, far] > 0
+
+
 def test_observe_matches_matrix(sphere120):
     rng = np.random.default_rng(7)
     values = rng.standard_normal(120)

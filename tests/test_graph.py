@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from graphheat import (
+    GeometricGraph,
     PointCloud,
     build_eps_graph,
     default_eps,
@@ -122,3 +124,32 @@ def test_dirichlet_form_identity(seed):
     direct = 0.5 * float(np.sum(w * (u[:, None] - u[None, :]) ** 2))
     assert quad == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
+
+def _dense_weights(cloud, eps):
+    # the n x n construction the ball lists replace, kept as the reference
+    adj = cloud.pairwise_distances() <= eps
+    np.fill_diagonal(adj, False)
+    return sparse.csr_matrix(adj * kernel_weight(cloud.n, cloud.intrinsic_dim,
+                                                 eps))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_eps_graph_matches_dense_reference(seed, d):
+    rng = np.random.default_rng(seed)
+    # 30 points near the origin plus one far away, which has no edges
+    pts = np.vstack([rng.standard_normal((30, d)), np.full((1, d), 50.0)])
+    cl = PointCloud(pts, 1)
+    i, j = rng.choice(30, size=2, replace=False)
+    boundary = cl.pairwise_distances()[i, j]  # an edge at exactly eps
+    for eps in (boundary, rng.uniform(0.3, 2.0)):
+        g = build_eps_graph(cl, eps)
+        ref = _dense_weights(cl, eps)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g.weights, attr), getattr(ref, attr))
+        ref_graph = GeometricGraph(cl, eps, ref, g.n_components)
+        assert np.array_equal(laplacian(g).dense(),
+                              laplacian(ref_graph).dense())
+        assert g.weights[30].nnz == 0
+    assert g.n_components >= 2
+    g = build_eps_graph(cl, boundary)
+    assert g.weights[i, j] == g.weights[j, i] == g.weight_value

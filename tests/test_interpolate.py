@@ -55,6 +55,16 @@ def test_k_out_of_range():
             knn_interpolate(u, cl, k, np.array([[0.0, 0.0]]))
 
 
+def test_bad_queries_rejected():
+    # a NaN query used to get an answer; a wrong dimension failed on
+    # broadcasting
+    cl = square_cloud()
+    u = np.arange(4.0)
+    for bad in ([[np.nan, 0.0]], [[0.0, 0.0, 0.0]], [[0.0, -np.inf]]):
+        with pytest.raises(ValueError, match="queries"):
+            knn_interpolate(u, cl, 1, np.array(bad))
+
+
 @given(
     values=st.lists(
         st.floats(-50, 50, allow_nan=False), min_size=4, max_size=4

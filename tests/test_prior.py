@@ -219,16 +219,16 @@ def test_regularity_experiment_smoke(basis120, sphere120):
 
 def test_regularity_experiment_builds_balls_once(basis120, sphere120):
     cl = PointCloud(sphere120.points, 2)
-    dense = cl.pairwise_distances
+    build = cl._closed_balls
     calls = []
 
-    def counted():
-        calls.append(1)
-        return dense()
+    def counted(eps):
+        calls.append(eps)
+        return build(eps)
 
-    cl.pairwise_distances = counted
+    cl._closed_balls = counted
     regularity_experiment(basis120, cl, 0.6, (2, 4, 6), draws=5, seed=0)
-    assert len(calls) == 1
+    assert calls == [0.6]
 
 
 def _regularity_inputs(n, eps_multiplier, calibration):
