@@ -48,12 +48,9 @@ from .forward import (
     ObservationDesign,
     design_matrix,
     first_p_design,
-    forward_observe,
-    forward_observe_continuum,
     heat_continuum,
     heat_graph,
     observation_matrix,
-    observe,
     observe_continuum,
 )
 from .likelihood import (
@@ -61,7 +58,6 @@ from .likelihood import (
     LabeledData,
     NoiseModel,
     check_assumptions,
-    full_potential,
     potential,
     potential_from_design_matrix,
     synthesize_data,
@@ -70,8 +66,6 @@ from .sampler import (
     ChainResult,
     SamplerConfig,
     acceptance_rate,
-    empirical_average,
-    iact,
     integrated_autocorr_time,
     pcn,
     posterior_mean,

@@ -23,9 +23,20 @@ from .experiments import (
 )
 
 
-def _load_config(path):
-    with open(path) as fh:
-        return ExperimentConfig.from_json(fh.read())
+def _load_config(path, seed=None):
+    """The validated config at path, or None once its errors are printed."""
+    try:
+        with open(path) as fh:
+            cfg = ExperimentConfig.from_json(fh.read())
+    except (ValueError, TypeError) as exc:
+        errs = [str(exc)]
+    else:
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, seed=seed)
+        errs = validate_config(cfg)
+    for e in errs:
+        print("config error: %s" % e, file=sys.stderr)
+    return None if errs else cfg
 
 
 def _resolve_out(cfg, override):
@@ -37,13 +48,8 @@ def _resolve_out(cfg, override):
 
 
 def _cmd_run(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    errs = validate_config(cfg)
-    if errs:
-        for e in errs:
-            print("config error: %s" % e, file=sys.stderr)
+    cfg = _load_config(args.config, args.seed)
+    if cfg is None:
         return 2
     manifest = run_experiment(cfg, _resolve_out(cfg, args.out),
                               jobs=args.jobs)
@@ -52,15 +58,8 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    try:
-        cfg = _load_config(args.config)
-    except (ValueError, KeyError, TypeError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    errs = validate_config(cfg)
-    if errs:
-        for e in errs:
-            print("config error: %s" % e, file=sys.stderr)
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 2
     print("ok: %s experiment, output directory %r"
           % (cfg.kind, _resolve_out(cfg, args.out)))
@@ -105,10 +104,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

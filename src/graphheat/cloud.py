@@ -149,6 +149,8 @@ def knn(cloud, query, k):
 
     Distances are ambient Euclidean; ties are broken by lower index.
     """
+    if np.shape(query) != (cloud.d,):
+        raise ValueError("query must be one point in R^%d" % cloud.d)
     return _nearest_indices(cloud, query, k)[0]
 
 

@@ -25,6 +25,7 @@ imports, because ``bench/tracing.py`` rebinds them here to trace them.
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -74,6 +75,12 @@ DEFAULT_TRUTH = (
 
 DEFAULT_N_GRID = (300, 600, 900, 1200, 1500, 2000)
 
+# Field types that validate_config checks before any value.
+_INTS = ("n", "p", "m", "iterations", "burn_in", "thinning", "seed",
+         "replicates", "l_max", "draws", "grid_size", "knn_k")
+_NUMBERS = ("eps_multiplier", "alpha", "s", "t", "sigma", "beta")
+_LISTS = ("n_grid", "eps_multipliers", "s_grid")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -112,6 +119,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object")
         if "config" in d and isinstance(d["config"], dict):
             d = d["config"]          # accept a manifest as a config source
         schema = d.pop("schema", SCHEMA_VERSION)
@@ -121,22 +130,38 @@ class ExperimentConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValueError("unknown config fields: %s" % ", ".join(unknown))
-        for key in ("n_grid", "eps_multipliers", "s_grid"):
-            if key in d:
+        for key in _LISTS:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
 
+def _is(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def validate_config(cfg):
     """Field-level problems with a config, empty when it is runnable."""
-    errs = []
     if cfg.kind not in KINDS:
         import difflib
 
         near = difflib.get_close_matches(str(cfg.kind), KINDS, n=1)
         hint = "; did you mean %r" % near[0] if near else ""
-        errs.append("kind: unknown %r%s (catalog: %s)"
-                    % (cfg.kind, hint, ", ".join(KINDS)))
+        return ["kind: unknown %r%s (catalog: %s)"
+                % (cfg.kind, hint, ", ".join(KINDS))]
+    errs = ["%s: must be an integer" % f for f in _INTS
+            if not _is(getattr(cfg, f), numbers.Integral)]
+    errs += ["%s: must be a number" % f for f in _NUMBERS
+             if not _is(getattr(cfg, f), numbers.Real)]
+    for f in _LISTS:
+        kind, what = ((numbers.Integral, "integers") if f == "n_grid"
+                      else (numbers.Real, "numbers"))
+        v = getattr(cfg, f)
+        if not (isinstance(v, (list, tuple)) and all(_is(x, kind) for x in v)):
+            errs.append("%s: must be a list of %s" % (f, what))
+    if not isinstance(cfg.out, str):
+        errs.append("out: must be a string")
+    if errs:     # the value checks below cannot compare such fields
         return errs
     sweep = cfg.kind in ("acceptance-sweep", "supervised-sweep", "oracle-compare")
     sizes = cfg.n_grid if sweep else (cfg.n,)
@@ -164,7 +189,7 @@ def validate_config(cfg):
                                "prior-sample")
     if needs_prior and cfg.s <= cfg.m:
         errs.append("s: must exceed the intrinsic dimension m=%d" % cfg.m)
-    if cfg.k_n != "auto" and (not isinstance(cfg.k_n, int) or cfg.k_n < 1):
+    if cfg.k_n != "auto" and (not _is(cfg.k_n, int) or cfg.k_n < 1):
         errs.append('k_n: must be a positive integer or "auto"')
     chain = cfg.kind in ("posterior", "acceptance-sweep", "supervised-sweep")
     if chain:
@@ -199,22 +224,15 @@ def validate_config(cfg):
                         % truth_degree)
     if cfg.kind == "oracle-compare" and cfg.noise == "probit":
         errs.append("noise: oracle-compare requires the gaussian model")
-    if cfg.kind == "regularity":
-        if not cfg.s_grid:
-            errs.append("s_grid: must not be empty")
-        if cfg.draws < 1:
-            errs.append("draws: must be at least 1")
-    if cfg.kind == "prior-sample" and cfg.draws < 1:
+    if cfg.kind == "regularity" and not cfg.s_grid:
+        errs.append("s_grid: must not be empty")
+    if cfg.kind in ("regularity", "prior-sample") and cfg.draws < 1:
         errs.append("draws: must be at least 1")
     if cfg.replicates < 1:
         errs.append("replicates: must be at least 1")
-    if cfg.calibration != "sphere":
-        try:
-            ok = float(cfg.calibration) > 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            errs.append('calibration: must be "sphere" or a positive number')
+    if cfg.calibration != "sphere" and not (
+            _is(cfg.calibration, numbers.Real) and cfg.calibration > 0):
+        errs.append('calibration: must be "sphere" or a positive number')
     if cfg.grid_size < 1:
         errs.append("grid_size: must be positive")
     if cfg.knn_k < 1:

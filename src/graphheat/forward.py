@@ -1,16 +1,16 @@
 """Heat-semigroup forward maps and observation maps; their composition G = O o F.
 
 The heat map damps KL coefficients by exp(-lambda_i t) and acts only on the
-retained eigenspan; inputs with components outside it are projected first and
-the residual recorded.  Observations are pointwise evaluation at the labeled
-points (the default) or averages over closed delta-balls.
+retained eigenspan; inputs with components outside it are projected first.
+Observations are pointwise evaluation at the labeled points (the default) or
+averages over closed delta-balls.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import CloudFunction
+from .prior import CloudFunction, _coefficients
 
 POINTWISE = "pointwise"
 BALL = "ball"
@@ -55,22 +55,13 @@ def first_p_design(p, mode=POINTWISE, delta=None):
 def heat_graph(u, basis, t):
     """Apply exp(-t * Laplacian) on the retained span: a_i -> exp(-lambda_i t) a_i.
 
-    Nodal-only inputs are projected onto the basis first; the projection
-    residual norm (in L^2(gamma_n)) is stored on the result.
+    Nodal-only inputs are projected onto the basis first.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if u.coefficients is not None and u.basis is basis:
-        coeffs = u.coefficients
-        residual = 0.0
-    else:
-        coeffs = basis.project(u.values)
-        recon = basis.synthesize(coeffs)
-        residual = float(np.sqrt(np.mean((u.values - recon) ** 2)))
+    coeffs = _coefficients(u, basis)
     damped = coeffs * np.exp(-basis.eigenvalues[: coeffs.shape[0]] * t)
-    out = CloudFunction.from_coefficients(basis, damped)
-    out.projection_residual = residual
-    return out
+    return CloudFunction.from_coefficients(basis, damped)
 
 
 def heat_continuum(coeffs, cont, t):
@@ -101,17 +92,6 @@ def observation_matrix(design, cloud):
             ball = indices[indptr[j]:indptr[j + 1]]
             mat[row, ball] = 1.0 / len(ball)
     return mat
-
-
-def observe(u, design, cloud):
-    """Apply the observation map to a cloud function: a p-vector of reals."""
-    values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
-    if design.mode == POINTWISE:
-        idx = list(design.labeled)
-        if max(idx) >= values.shape[0]:
-            raise ValueError("labeled index out of range")
-        return values[idx]
-    return observation_matrix(design, cloud) @ values
 
 
 def _cap_samples(center, delta, n_samples, rng):
@@ -166,13 +146,3 @@ def design_matrix(basis, t, design, cloud):
         raise ValueError("t must be >= 0")
     obs = observation_matrix(design, cloud) @ basis.eigenvectors
     return obs * np.exp(-basis.eigenvalues * t)[None, :]
-
-
-def forward_observe(u, basis, t, design, cloud):
-    """The forward map G(u) = O(F^t u) on the graph side."""
-    return observe(heat_graph(u, basis, t), design, cloud)
-
-
-def forward_observe_continuum(coeffs, cont, t, design, cloud, **kw):
-    """The forward map G(u) = O(F^t u) on the continuum side."""
-    return observe_continuum(heat_continuum(coeffs, cont, t), cont, design, cloud, **kw)

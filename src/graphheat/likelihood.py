@@ -3,7 +3,8 @@
 Two observation models:
   gaussian  phi(w) = |y - w|^2 / (2 sigma^2)
   probit    phi(w) = -sum_i log Psi(y_i w_i; sigma),  Psi the N(0, sigma^2) CDF
-The full potential is the misfit composed with the forward map G.
+The chains compose the misfit with the forward map G through its design
+matrix.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from . import forward
+from .spectral import ContinuumBasis
 
 GAUSSIAN = "gaussian"
 PROBIT = "probit"
@@ -66,12 +68,6 @@ def potential(w, data, model):
     return float(-np.sum(log_ndtr(y * w / model.sigma)))
 
 
-def full_potential(u, basis, data, model, cloud):
-    """Phi(u) = phi^y(G(u)) with G = observation after heat flow at data.t."""
-    w = forward.forward_observe(u, basis, data.t, data.design, cloud)
-    return potential(w, data, model)
-
-
 def potential_from_design_matrix(mat, data, model):
     """Closure a -> phi^y(M a) for coefficient-space samplers.
 
@@ -100,13 +96,13 @@ def synthesize_data(u_truth, carrier, t, design, cloud, model, seed):
 
     gaussian: y = G(u) + eta, eta ~ N(0, sigma^2 I).  probit: y is the sign of
     the same noisy vector, with exact zeros mapped to +1.  u_truth is a
-    CloudFunction when carrier is a graph basis, or a harmonic coefficient
-    vector when carrier is a continuum basis.
+    harmonic coefficient vector of the continuum basis carrier.
     """
-    if hasattr(carrier, "labels"):  # continuum basis
-        w = forward.forward_observe_continuum(u_truth, carrier, t, design, cloud)
-    else:
-        w = forward.forward_observe(u_truth, carrier, t, design, cloud)
+    if not isinstance(carrier, ContinuumBasis):
+        raise ValueError("carrier must be a ContinuumBasis, got %s"
+                         % type(carrier).__name__)
+    w = forward.observe_continuum(forward.heat_continuum(u_truth, carrier, t),
+                                  carrier, design, cloud)
     rng = np.random.default_rng(seed)
     noisy = w + model.sigma * rng.standard_normal(w.shape[0])
     if model.kind == GAUSSIAN:

@@ -96,7 +96,7 @@ def _solve_posterior(cvXX, cwQX, cuQ_diag, y, sigma):
     return mean, np.maximum(variance, 0.0)
 
 
-def graph_posterior(data, basis, spec, t, sigma, design=None, cloud=None):
+def graph_posterior(data, basis, spec, t, sigma, cloud=None):
     """Closed-form posterior mean/variance at every node of the graph.
 
     The observation rows come from the design in `data` (pointwise or
@@ -104,13 +104,12 @@ def graph_posterior(data, basis, spec, t, sigma, design=None, cloud=None):
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
-    design = data.design if design is None else design
     kern = CovarianceKernels(spec, t, basis)
-    if design.mode == "pointwise" and cloud is None:
-        rows = np.array(design.labeled)
+    if data.design.mode == "pointwise" and cloud is None:
+        rows = np.array(data.design.labeled)
         obs_psi = kern.psi[rows]
     else:
-        obs_psi = observation_matrix(design, cloud) @ kern.psi
+        obs_psi = observation_matrix(data.design, cloud) @ kern.psi
     cvXX = (obs_psi * kern.d_v[None, :]) @ obs_psi.T
     cwQX = (kern.psi * kern.d_w[None, :]) @ obs_psi.T
     mean, variance = _solve_posterior(
@@ -121,7 +120,7 @@ def graph_posterior(data, basis, spec, t, sigma, design=None, cloud=None):
         variance,
         provenance="oracle",
         model={"alpha": spec.alpha, "s": spec.s, "t": t, "sigma": sigma,
-               "p": design.p},
+               "p": data.design.p},
         locations=np.arange(basis.n),
     )
 

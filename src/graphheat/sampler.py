@@ -155,13 +155,6 @@ def posterior_mean(chain, basis):
     return CloudFunction.from_coefficients(basis, chain.samples.mean(axis=0))
 
 
-def empirical_average(chain, f):
-    """S^N(f): the mean of f over retained coefficient samples."""
-    if chain.n_retained == 0:
-        raise ValueError("no retained samples")
-    return float(np.mean([f(s) for s in chain.samples]))
-
-
 def _autocovariance(x):
     n = x.shape[0]
     x = x - x.mean()
@@ -196,9 +189,3 @@ def integrated_autocorr_time(trace):
         pair_sums.append(g)
     tau = 2.0 * sum(pair_sums) - 1.0
     return float(max(tau, 1.0))
-
-
-def iact(chain, f):
-    """IACT of the scalar trace f(state) over the retained samples."""
-    trace = np.array([f(s) for s in chain.samples])
-    return integrated_autocorr_time(trace)

@@ -39,9 +39,30 @@ def test_validate_unknown_field(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["validate", "run"])
+@pytest.mark.parametrize("body, message", [
+    ({"kind": "spectra", "n": 3.5}, "n: must be an integer"),
+    ({"kind": "spectra", "seed": "a"}, "seed: must be an integer"),
+    ({"kind": "spectra", "n_grid": 5}, "n_grid: must be a list"),
+    ({"kind": "spectra", "k_n": True}, "k_n: must be a positive integer"),
+    ([1, 2], "a config must be a JSON object"),
+    ({"n": 60}, "'kind'"),
+])
+def test_wrongly_typed_config_is_refused(tmp_path, capsys, cmd, body,
+                                         message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(body))
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
-    assert "error" in capsys.readouterr().err
+    for path in (tmp_path / "absent.json", tmp_path):   # a directory too
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_run_and_rerun_from_manifest(tmp_path, capsys):

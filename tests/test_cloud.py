@@ -106,10 +106,13 @@ def test_neighborhood_symmetry(eps):
 def test_knn_rejects_bad_queries(line_cloud):
     for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0],
                 np.zeros((2, 4))):
-        with pytest.raises(ValueError, match="queries"):
+        with pytest.raises(ValueError, match="query|queries"):
             knn(line_cloud, bad, 1)
         with pytest.raises(ValueError, match="queries"):
             _nearest_indices(line_cloud, np.atleast_2d(bad), 2)
+    # two valid points are a batch, not one query
+    with pytest.raises(ValueError, match="query"):
+        knn(line_cloud, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], 2)
 
 
 def _dense_nearest(points, queries, k):

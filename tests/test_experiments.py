@@ -33,6 +33,8 @@ def test_config_rejects_unknown_and_wrong_schema():
         ExperimentConfig.from_json('{"kind": "spectra", "beta_max": 1}')
     with pytest.raises(ValueError, match="schema"):
         ExperimentConfig.from_json('{"schema": 99, "kind": "spectra"}')
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_json('[1, 2]')
 
 
 def test_validate_unknown_kind_suggests():
@@ -78,6 +80,16 @@ def test_validate_field_errors(tmp_path):
            thinning=40), "iterations"),
         (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
         (C(kind="posterior", n=3, p=2), "n"),
+        # wrongly typed fields, as a JSON config can give them
+        (C(kind="spectra", n=3.5), "n"),
+        (C(kind="spectra", seed="a"), "seed"),
+        (C(kind="spectra", n_grid=5), "n_grid"),
+        (C(kind="acceptance-sweep", n_grid=(40.5,), p=10), "n_grid"),
+        (C(kind="spectra", eps_multipliers=("2",)), "eps_multipliers"),
+        (C(kind="posterior", n=60, p=10, beta=True), "beta"),
+        (C(kind="posterior", n=60, p=10, k_n=True), "k_n"),
+        (C(kind="prior-sample", n=30, calibration=True), "calibration"),
+        (C(kind="spectra", out=5), "out"),
     ]:
         errs = validate_config(cfg)
         assert any(e.startswith(field + ": ") for e in errs), (cfg, errs)

@@ -9,7 +9,6 @@ from graphheat import (
     NoiseModel,
     check_assumptions,
     first_p_design,
-    full_potential,
     potential,
     potential_from_design_matrix,
     sample_sphere,
@@ -90,23 +89,6 @@ def test_design_matrix_potential_closure(basis120, sphere120):
         assert phi(a) == pytest.approx(potential(mat @ a, data, model), rel=1e-12)
 
 
-def test_full_potential_composes(basis120, sphere120):
-    design = first_p_design(7)
-    model = NoiseModel("gaussian", 0.4)
-    rng = np.random.default_rng(1)
-    u = CloudFunction.from_coefficients(
-        basis120, rng.standard_normal(basis120.count)
-    )
-    y = rng.standard_normal(7)
-    data = LabeledData(y, design, 0.15, "gaussian", 0.4)
-    from graphheat import forward_observe
-
-    w = forward_observe(u, basis120, 0.15, design, sphere120)
-    assert full_potential(u, basis120, data, model, sphere120) == pytest.approx(
-        potential(w, data, model)
-    )
-
-
 def test_synthesize_gaussian_continuum():
     cl = sample_sphere(50, seed=2)
     cont = ContinuumBasis(2)
@@ -137,8 +119,10 @@ def test_synthesize_probit_labels():
 def test_synthesize_graph_carrier(basis120, sphere120):
     u = CloudFunction.from_coefficients(basis120, np.eye(basis120.count)[1])
     model = NoiseModel("gaussian", 0.05)
-    data = synthesize_data(u, basis120, 0.0, first_p_design(15), sphere120, model, seed=6)
-    assert np.allclose(data.y, u.values[:15], atol=0.25)
+    # labels come from the continuum truth only; a graph basis is refused
+    with pytest.raises(ValueError, match="carrier"):
+        synthesize_data(u, basis120, 0.0, first_p_design(15), sphere120,
+                        model, seed=6)
 
 
 def test_check_assumptions_report():

@@ -10,8 +10,6 @@ from graphheat import (
     PriorSpec,
     SamplerConfig,
     acceptance_rate,
-    empirical_average,
-    iact,
     integrated_autocorr_time,
     pcn,
     posterior_mean,
@@ -143,8 +141,6 @@ def test_posterior_mean_and_averages():
     fn = posterior_mean(chain, basis)
     manual = basis.synthesize(chain.samples.mean(axis=0))
     assert np.allclose(fn.values, manual)
-    avg = empirical_average(chain, lambda a: a[0] ** 2)
-    assert avg == pytest.approx(np.mean(chain.samples[:, 0] ** 2))
 
 
 def test_iact_iid_is_near_one():
@@ -167,11 +163,3 @@ def test_iact_ar1_matches_formula():
 
 def test_iact_constant_trace_floors_at_one():
     assert integrated_autocorr_time(np.full(100, 3.3)) == 1.0
-
-
-def test_iact_wrapper_matches_direct():
-    cfg = SamplerConfig(beta=0.6, iterations=3000, burn_in=100, seed=10)
-    chain = pcn(FlatBasis(2), SPEC, ZERO_POTENTIAL, cfg)
-    f = lambda a: a[1]
-    direct = integrated_autocorr_time(chain.samples[:, 1])
-    assert iact(chain, f) == pytest.approx(direct)
