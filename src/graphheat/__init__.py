@@ -73,19 +73,11 @@ from .sampler import (
 )
 from .oracle import (
     CovarianceKernels,
-    ErrorReport,
     PosteriorSummary,
-    compare,
     continuum_posterior,
     graph_posterior,
 )
-from .interpolate import (
-    knn_interpolate,
-    l2_distance,
-    pushforward_chain,
-    pushforward_summary,
-    sphere_mc_grid,
-)
+from .interpolate import knn_interpolate, l2_distance, sphere_mc_grid
 from .experiments import (
     DEFAULT_TRUTH,
     ExperimentConfig,

@@ -47,7 +47,7 @@ from .sampler import (
     pcn,
     posterior_mean,
 )
-from .spectral import ContinuumBasis, eigendecompose
+from .spectral import ContinuumBasis, eigendecompose, spectral_error
 
 SCHEMA_VERSION = 1
 
@@ -172,8 +172,9 @@ def validate_config(cfg):
         errs.append("n: every cloud size must be at least 2")
     elif cfg.kind == "posterior" and cfg.n < 4:
         errs.append("n: the k=4 push-forward needs at least 4 points")
-    if cfg.m < 1:
-        errs.append("m: intrinsic dimension must be at least 1")
+    if cfg.m != 2:
+        errs.append("m: must be 2, the intrinsic dimension of the sphere "
+                    "every experiment samples")
     if cfg.eps_multiplier <= 0:
         errs.append("eps_multiplier: must be positive")
     if cfg.kind == "spectra" and (not cfg.eps_multipliers
@@ -384,7 +385,7 @@ def _run_grid(cfg, jobs, point):
         from concurrent.futures import ProcessPoolExecutor
 
         args = [(point, cfg.to_json(), n, r) for n, r in pairs]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             values = list(pool.map(_grid_worker, args))
     seeds = [_seed_record(cfg, n, r) for n, r in pairs]
     return dict(zip(pairs, values)), seeds
@@ -475,8 +476,8 @@ def _svg_line_plot(title, xlabel, ylabel, series):
 def _run_spectra(cfg, jobs):
     files, errs, series = {}, {}, []
     cl = _cloud(cfg, cfg.n, 0)
-    lam_cont = ContinuumBasis(12).eigenvalues
-    reference = np.array([2.0] * 3 + [6.0] * 5)
+    cont = ContinuumBasis(12)
+    lam_cont = cont.eigenvalues
     for mult in cfg.eps_multipliers:
         basis, _ = _basis(cfg, cl, min(50, cfg.n), mult)
         lam = [float(x) for x in basis.eigenvalues]
@@ -486,8 +487,7 @@ def _run_spectra(cfg, jobs):
         files["spectra_eps%g.csv" % mult] = _csv(
             ("index", "graph_lambda", "continuum_lambda"), rows)
         if basis.count >= 9:
-            errs["%g" % mult] = float(np.mean(
-                np.abs(basis.eigenvalues[1:9] / reference - 1.0)))
+            errs["%g" % mult] = float(np.mean(spectral_error(basis, cont, 9)))
         series.append(("eps x%g" % mult,
                        [float(i + 1) for i in range(basis.count)], lam))
     n_rows = len(series[0][1])
@@ -531,8 +531,8 @@ def _run_posterior(cfg, jobs):
         orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
         header += ["oracle_mean", "oracle_sd"]
         cols += [orc.mean, np.sqrt(orc.variance)]
-        ref = float(np.sqrt(np.mean(orc.mean ** 2)))
-        err = float(np.sqrt(np.mean((mean_fn.values - orc.mean) ** 2)))
+        ref = l2_distance(orc.mean, np.zeros_like(orc.mean))
+        err = l2_distance(mean_fn.values, orc.mean)
         metrics["rel_l2_mean_error_vs_oracle"] = err / ref if ref else math.nan
     else:
         # probit: classify by the sign of the posterior mean, zero -> +1

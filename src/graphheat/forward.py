@@ -15,6 +15,9 @@ from .prior import CloudFunction, _coefficients
 POINTWISE = "pointwise"
 BALL = "ball"
 
+# Uniform cap samples behind each ball-mode continuum observation.
+CAP_SAMPLES = 10**4
+
 
 @dataclass(frozen=True)
 class ObservationDesign:
@@ -47,9 +50,9 @@ class ObservationDesign:
         return len(self.labeled)
 
 
-def first_p_design(p, mode=POINTWISE, delta=None):
-    """The default design: the first p cloud indices are labeled."""
-    return ObservationDesign(tuple(range(p)), mode=mode, delta=delta)
+def first_p_design(p):
+    """The default design: the first p cloud indices, observed pointwise."""
+    return ObservationDesign(tuple(range(p)))
 
 
 def heat_graph(u, basis, t):
@@ -94,10 +97,11 @@ def observation_matrix(design, cloud):
     return mat
 
 
-def _cap_samples(center, delta, n_samples, rng):
-    # rejection-sample uniform sphere points within ambient distance delta
+def _cap_samples(center, delta, rng):
+    # rejection-sample CAP_SAMPLES uniform sphere points within ambient
+    # distance delta
     accepted = []
-    need = n_samples
+    need = CAP_SAMPLES
     # chord delta corresponds to cap fraction delta^2/4 of the sphere area
     frac = min(1.0, delta * delta / 4.0)
     while need > 0:
@@ -112,28 +116,22 @@ def _cap_samples(center, delta, n_samples, rng):
     return np.concatenate(accepted, axis=0)
 
 
-def observe_continuum(coeffs, cont, design, cloud, seed=0, n_samples=10**4,
-                      with_stderr=False):
+def observe_continuum(coeffs, cont, design, cloud, seed=0):
     """Observe a harmonic expansion at the labeled cloud points.
 
     Pointwise mode evaluates the expansion exactly.  Ball mode Monte Carlo
-    averages it over uniform samples of the spherical cap B_delta(x_j) (the
-    normalized-integral observation); the standard error of each average is
-    returned when with_stderr is set.
+    averages it over CAP_SAMPLES uniform samples of the spherical cap
+    B_delta(x_j) (the normalized-integral observation).
     """
     pts = cloud.points[list(design.labeled)]
     if design.mode == POINTWISE:
-        vals = cont.synthesize(coeffs, pts)
-        return (vals, np.zeros_like(vals)) if with_stderr else vals
+        return cont.synthesize(coeffs, pts)
     rng = np.random.default_rng(seed)
     vals = np.empty(design.p)
-    errs = np.empty(design.p)
     for row in range(design.p):
-        samples = _cap_samples(pts[row], design.delta, n_samples, rng)
-        f = cont.synthesize(coeffs, samples)
-        vals[row] = f.mean()
-        errs[row] = f.std(ddof=1) / np.sqrt(n_samples)
-    return (vals, errs) if with_stderr else vals
+        samples = _cap_samples(pts[row], design.delta, rng)
+        vals[row] = cont.synthesize(coeffs, samples).mean()
+    return vals
 
 
 def design_matrix(basis, t, design, cloud):

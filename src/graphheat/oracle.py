@@ -1,6 +1,7 @@
 """Closed-form Gaussian posteriors for the linear heat-observation model.
 
-With prior covariance c_u and the heat map F^t, three kernels appear:
+The prior covariance c_u and the heat map F^t give three kernels, each a
+series over the retained eigenpairs:
 
   c_u(x, x~) = sum_i (alpha+lambda_i)^(-s/2) psi_i(x) psi_i(x~)
   c_v        = same series with an extra factor exp(-2 lambda_i t)   (v = F u)
@@ -11,12 +12,15 @@ The posterior mean given y at observed locations X is
 and the pointwise variance
   var(x) = c_u(x, x) - c_w(x, X) (c_v(X, X) + sigma^2 I)^{-1} c_w(X, x).
 
-These are the ground truth the pCN chains are validated against; gaussian
-noise only.  The noise variance written gamma^2 in some regression treatments
-is the same sigma^2 used everywhere here.
+``_kernel_posterior`` evaluates both from the eigenfeatures psi_i at X and
+at the query points; ``graph_posterior`` feeds it graph eigenvectors and
+``continuum_posterior`` spherical harmonics.  These are the ground truth
+the pCN chains are validated against; gaussian noise only.  The noise
+variance written gamma^2 in some regression treatments is the same sigma^2
+used everywhere here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -27,49 +31,24 @@ from .likelihood import GAUSSIAN
 
 @dataclass
 class PosteriorSummary:
-    """Mean and pointwise variance at query locations, from oracle or chain."""
+    """Mean and pointwise variance at query locations."""
 
     mean: np.ndarray
     variance: np.ndarray
-    provenance: str
-    model: dict = field(default_factory=dict)
-    locations: np.ndarray = None
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        if self.variance is not None:
-            self.variance = np.asarray(self.variance, dtype=float)
 
 
 class CovarianceKernels:
-    """Evaluators for c_u, c_v, c_w over a truncated eigenbasis.
+    """The prior kernel c_u over a truncated graph eigenbasis.
 
-    For graph bases the evaluators take node index arrays; diagonal() gives
-    the pointwise prior variance at every node.
+    d_u holds the prior variances (alpha+lambda_i)^(-s/2) of the retained
+    modes and psi their eigenvectors; prior_variance() is c_u(x, x) at every
+    node.  c_u does not depend on the heat time t; the argument is kept so
+    callers pass the same (spec, t, basis) as to graph_posterior.
     """
 
     def __init__(self, spec, t, basis):
-        k = spec.truncation(basis.count)
-        lam = basis.eigenvalues[:k]
-        self.d_u = spec.coefficient_scales(lam) ** 2  # (alpha+lambda)^(-s/2)
-        self.d_v = self.d_u * np.exp(-2.0 * lam * t)
-        self.d_w = self.d_u * np.exp(-lam * t)
-        self.psi = basis.eigenvectors[:, :k]
-        self.t = float(t)
-
-    def _gram(self, weights, rows, cols):
-        pr = self.psi[rows]
-        pc = self.psi[cols]
-        return (pr * weights[None, :]) @ pc.T
-
-    def c_u(self, rows, cols):
-        return self._gram(self.d_u, rows, cols)
-
-    def c_v(self, rows, cols):
-        return self._gram(self.d_v, rows, cols)
-
-    def c_w(self, rows, cols):
-        return self._gram(self.d_w, rows, cols)
+        self.d_u = spec.truncated_scales(basis) ** 2
+        self.psi = basis.eigenvectors[:, :self.d_u.shape[0]]
 
     def prior_variance(self):
         return (self.psi**2) @ self.d_u
@@ -79,7 +58,16 @@ def covariance_kernels(spec, t, basis):
     return CovarianceKernels(spec, t, basis)
 
 
-def _solve_posterior(cvXX, cwQX, cuQ_diag, y, sigma):
+def _kernel_posterior(d_u, lam, t, psi_x, psi_q, y, sigma):
+    """Posterior mean and variance at the query features psi_q.
+
+    d_u are the prior variances of the modes with eigenvalues lam; psi_x
+    and psi_q hold the mode features at the observations and the queries.
+    """
+    d_v = d_u * np.exp(-2.0 * lam * t)
+    d_w = d_u * np.exp(-lam * t)
+    cvXX = (psi_x * d_v[None, :]) @ psi_x.T
+    cwQX = (psi_q * d_w[None, :]) @ psi_x.T
     p = cvXX.shape[0]
     a = cvXX + sigma**2 * np.eye(p)
     if sigma < 1e-8:
@@ -92,8 +80,8 @@ def _solve_posterior(cvXX, cwQX, cuQ_diag, y, sigma):
         ) from err
     mean = cwQX @ cho_solve(fac, y)
     solved = cho_solve(fac, cwQX.T)
-    variance = cuQ_diag - np.sum(cwQX * solved.T, axis=1)
-    return mean, np.maximum(variance, 0.0)
+    variance = (psi_q**2) @ d_u - np.sum(cwQX * solved.T, axis=1)
+    return PosteriorSummary(mean, np.maximum(variance, 0.0))
 
 
 def graph_posterior(data, basis, spec, t, sigma, cloud=None):
@@ -106,23 +94,12 @@ def graph_posterior(data, basis, spec, t, sigma, cloud=None):
         raise ValueError("closed-form posterior requires gaussian noise")
     kern = CovarianceKernels(spec, t, basis)
     if data.design.mode == "pointwise" and cloud is None:
-        rows = np.array(data.design.labeled)
-        obs_psi = kern.psi[rows]
+        obs_psi = kern.psi[np.array(data.design.labeled)]
     else:
         obs_psi = observation_matrix(data.design, cloud) @ kern.psi
-    cvXX = (obs_psi * kern.d_v[None, :]) @ obs_psi.T
-    cwQX = (kern.psi * kern.d_w[None, :]) @ obs_psi.T
-    mean, variance = _solve_posterior(
-        cvXX, cwQX, kern.prior_variance(), data.y, sigma
-    )
-    return PosteriorSummary(
-        mean,
-        variance,
-        provenance="oracle",
-        model={"alpha": spec.alpha, "s": spec.s, "t": t, "sigma": sigma,
-               "p": data.design.p},
-        locations=np.arange(basis.n),
-    )
+    lam = basis.eigenvalues[:kern.d_u.shape[0]]
+    return _kernel_posterior(kern.d_u, lam, t, obs_psi, kern.psi, data.y,
+                             sigma)
 
 
 def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
@@ -135,52 +112,8 @@ def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
         raise ValueError("closed-form posterior requires gaussian noise")
     if data.design.mode != "pointwise":
         raise ValueError("continuum posterior supports pointwise observation only")
-    kern_scales = spec.coefficient_scales(cont.eigenvalues) ** 2
-    lam = cont.eigenvalues
-    d_v = kern_scales * np.exp(-2.0 * lam * t)
-    d_w = kern_scales * np.exp(-lam * t)
+    d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
     psi_x = cont.evaluate(cloud.points[list(data.design.labeled)])
     psi_q = cont.evaluate(np.atleast_2d(query_points))
-    cvXX = (psi_x * d_v[None, :]) @ psi_x.T
-    cwQX = (psi_q * d_w[None, :]) @ psi_x.T
-    cuQ = (psi_q**2) @ kern_scales
-    mean, variance = _solve_posterior(cvXX, cwQX, cuQ, data.y, sigma)
-    return PosteriorSummary(
-        mean,
-        variance,
-        provenance="oracle",
-        model={"alpha": spec.alpha, "s": spec.s, "t": t, "sigma": sigma,
-               "p": data.design.p, "l_max": cont.l_max},
-        locations=np.atleast_2d(query_points),
-    )
-
-
-@dataclass
-class ErrorReport:
-    rel_mean_error: float
-    max_abs_mean_diff: float
-    max_abs_var_diff: float
-    rel_var_error: float
-
-
-def compare(summary_a, summary_b, weights=None):
-    """Differences of two summaries on matched locations; b is the reference.
-
-    rel_mean_error is the weighted L^2 norm of the mean difference over the
-    norm of the reference mean (uniform 1/n weights by default, the
-    L^2(gamma_n) pairing).
-    """
-    if summary_a.mean.shape != summary_b.mean.shape:
-        raise ValueError("summaries have mismatched query locations")
-    if weights is None:
-        weights = np.full(summary_a.mean.shape[0], 1.0 / summary_a.mean.shape[0])
-    diff = summary_a.mean - summary_b.mean
-    ref = np.sqrt(np.sum(weights * summary_b.mean**2))
-    rel = np.sqrt(np.sum(weights * diff**2)) / max(ref, 1e-300)
-    if summary_a.variance is not None and summary_b.variance is not None:
-        vdiff = float(np.max(np.abs(summary_a.variance - summary_b.variance)))
-        vref = float(np.max(np.abs(summary_b.variance)))
-        vrel = vdiff / max(vref, 1e-300)
-    else:
-        vdiff = vrel = float("nan")
-    return ErrorReport(float(rel), float(np.max(np.abs(diff))), vdiff, vrel)
+    return _kernel_posterior(d_u, cont.eigenvalues, t, psi_x, psi_q, data.y,
+                             sigma)

@@ -22,6 +22,9 @@ UNTRUNCATED = None  # sentinel for k_n = n
 # the study gives up on that s.
 MAX_REDRAWS = 100
 
+# Head terms of kl_tail_mass summed per block, so memory stays bounded.
+_TAIL_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -74,6 +77,11 @@ class PriorSpec:
             scales[lam < 1e-14] = 0.0
         return scales
 
+    def truncated_scales(self, basis):
+        """coefficient_scales of the first truncation(basis.count) modes."""
+        k = self.truncation(basis.count)
+        return self.coefficient_scales(basis.eigenvalues[:k])
+
 
 class CloudFunction:
     """A function on the cloud: nodal values, optionally KL coefficients."""
@@ -111,10 +119,9 @@ def default_truncation(n, eps, m):
 
 def sample_graph_prior(basis, spec, seed):
     """One prior draw in a graph eigenbasis; coefficients are stored."""
-    k = spec.truncation(basis.count)
-    scales = spec.coefficient_scales(basis.eigenvalues[:k])
+    scales = spec.truncated_scales(basis)
     rng = np.random.default_rng(seed)
-    coeffs = scales * rng.standard_normal(k)
+    coeffs = scales * rng.standard_normal(scales.shape[0])
     return CloudFunction.from_coefficients(basis, coeffs)
 
 
@@ -128,17 +135,30 @@ def sample_continuum_prior(cont, spec, seed):
 def kl_tail_mass(spec, l_max, rel_tol=1e-12):
     """Truncated-series tail sum_{l > l_max} (2l+1)(alpha + l(l+1))^(-s/2).
 
-    Positive-term series summed until increments fall below rel_tol of the
-    running total; reported so users can judge truncation adequacy.
+    With g(l) = alpha + l(l+1) the summand is g'(l) g(l)^(-s/2), so the terms
+    past L sum to about g(L+1/2)^(1-s/2) / (s/2-1), the integral from L+1/2
+    on (midpoint rule).  That remainder errs by about (2+3s) g(L+1/2)^(-s/2)
+    / 24 or less, so L is the first l >= l_max where this falls below rel_tol
+    times the first tail term, and the terms up to L are summed exactly.
+    The series diverges for s <= 2.
     """
-    total = 0.0
-    l = l_max + 1
-    while True:
-        term = (2 * l + 1) * (spec.alpha + l * (l + 1)) ** (-spec.s / 2.0)
-        total += term
-        if term < rel_tol * max(total, 1e-300):
-            return total
-        l += 1
+    half = spec.s / 2.0
+    if half <= 1.0:
+        raise ValueError("s=%g: the tail series diverges for s <= 2" % spec.s)
+    first = l_max + 1
+    g_first = spec.alpha + first * (first + 1.0)
+    log_g = (math.log((2.0 + 6.0 * half) / (24.0 * rel_tol * (2 * first + 1)))
+             / half + math.log(g_first))
+    # g(x) = alpha + x(x+1) reaches exp(log_g) at x
+    x = 0.5 * (math.sqrt(1.0 + 4.0 * max(math.exp(log_g) - spec.alpha, 0.0))
+               - 1.0)
+    last = max(l_max, math.ceil(x - 0.5))
+    head = 0.0
+    for lo in range(first, last + 1, _TAIL_BLOCK):
+        l = np.arange(lo, min(lo + _TAIL_BLOCK, last + 1), dtype=float)
+        head += float(np.sum((2 * l + 1) * (spec.alpha + l * (l + 1)) ** -half))
+    g_rest = spec.alpha + (last + 0.5) * (last + 1.5)
+    return head + g_rest ** (1.0 - half) / (half - 1.0)
 
 
 def _coefficients(u, basis):

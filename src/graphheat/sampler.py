@@ -68,12 +68,8 @@ class ChainResult:
         return self.samples.shape[0]
 
 
-def _coefficient_scales(basis, prior_spec):
-    k = prior_spec.truncation(basis.count)
-    return k, prior_spec.coefficient_scales(basis.eigenvalues[:k])
-
-
-def _run_chain(k, scales, potential, config, proposal):
+def _run_chain(scales, potential, config, proposal):
+    k = scales.shape[0]
     rng = np.random.default_rng(config.seed)
     state = np.zeros(k)
     phi = potential(state)
@@ -114,13 +110,13 @@ def pcn(basis, prior_spec, potential, config):
     potential : callable mapping a coefficient vector to the misfit Phi
     config : SamplerConfig
     """
-    k, scales = _coefficient_scales(basis, prior_spec)
+    scales = prior_spec.truncated_scales(basis)
     contraction = np.sqrt(1.0 - config.beta**2)
 
     def proposal(state, xi, sc):
         return contraction * state + config.beta * sc * xi, 0.0
 
-    return _run_chain(k, scales, potential, config, proposal)
+    return _run_chain(scales, potential, config, proposal)
 
 
 def rwm(basis, prior_spec, potential, config, step):
@@ -131,7 +127,7 @@ def rwm(basis, prior_spec, potential, config, step):
     """
     if step < 0:
         raise ValueError("step must be >= 0")
-    k, scales = _coefficient_scales(basis, prior_spec)
+    scales = prior_spec.truncated_scales(basis)
     safe = np.where(scales > 0, scales, 1.0)
 
     def proposal(state, xi, sc):
@@ -141,7 +137,7 @@ def rwm(basis, prior_spec, potential, config, step):
         )
         return cand, log_prior_ratio
 
-    return _run_chain(k, scales, potential, config, proposal)
+    return _run_chain(scales, potential, config, proposal)
 
 
 def acceptance_rate(chain):

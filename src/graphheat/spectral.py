@@ -5,11 +5,13 @@ Graph eigenpairs are normalized in L^2(gamma_n), the empirical-measure pairing
 continuum side.  The continuum reference is the unit 2-sphere: eigenvalues
 l(l+1) with multiplicity 2l+1, real spherical harmonics normalized against the
 uniform probability measure.
+
+The graph eigensolver is ``scipy.linalg.eigh`` on the dense n x n matrix,
+whatever n; it has no method switch.
 """
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy import linalg
 from scipy.special import gammaln, lpmv
 
 
@@ -58,35 +60,16 @@ def _fix_signs(vecs):
     return vecs
 
 
-def eigendecompose(lap, k, method="dense"):
+def eigendecompose(lap, k):
     """The k smallest eigenpairs of a graph Laplacian, L^2(gamma_n)-orthonormal.
 
-    method="dense" (default) runs a full symmetric solver on the dense matrix,
-    which is exact and fast at n <= 3000.  method="iterative" uses shift-invert
-    Lanczos and is cross-checked against the dense path in the test suite.
+    A full symmetric solver runs on the dense matrix, which is exact and fast
+    at n <= 3000.
     """
     n = lap.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
-    if method == "dense" or k == n:
-        vals, vecs = linalg.eigh(lap.dense(), subset_by_index=[0, k - 1])
-    elif method == "iterative":
-        a = lap.matrix.tocsc()
-        # shift below zero keeps A - sigma*I positive definite despite the null mode
-        scale = a.diagonal().sum() / n
-        sigma = -1e-3 * (scale + 1.0)
-        try:
-            vals, vecs = eigsh(a, k=k, sigma=sigma, which="LM")
-        except ArpackNoConvergence as err:
-            raise RuntimeError(
-                "iterative eigensolver converged only %d of %d pairs"
-                % (len(err.eigenvalues), k)
-            ) from err
-        order = np.argsort(vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
-    else:
-        raise ValueError("unknown method %r" % (method,))
+    vals, vecs = linalg.eigh(lap.dense(), subset_by_index=[0, k - 1])
     # snap solver noise around the null modes to exact zero
     tiny = 1e-12 * max(1.0, float(abs(vals[-1])))
     vals = np.where(np.abs(vals) < tiny, 0.0, vals)

@@ -80,6 +80,9 @@ def test_validate_field_errors(tmp_path):
            thinning=40), "iterations"),
         (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
         (C(kind="posterior", n=3, p=2), "n"),
+        # every cloud is a sphere sample, of intrinsic dimension 2
+        (C(kind="spectra", n=60, m=3), "m"),
+        (C(kind="spectra", n=60, m=1), "m"),
         # wrongly typed fields, as a JSON config can give them
         (C(kind="spectra", n=3.5), "n"),
         (C(kind="spectra", seed="a"), "seed"),
@@ -271,6 +274,32 @@ def test_sweep_parallel_matches_serial(tmp_path):
     run_experiment(toy_cfg("acceptance-sweep"), out_dir=str(b), jobs=2)
     assert (a / "acceptance_runs.csv").read_bytes() == \
         (b / "acceptance_runs.csv").read_bytes()
+
+
+def test_grid_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = toy_cfg("oracle-compare", replicates=1)
+    serial, _ = run_outputs(cfg, tmp_path / "serial", jobs=1)
+    pooled, _ = run_outputs(cfg, tmp_path / "pooled", jobs=10**6)
+    assert started == [2]
+    assert pooled == serial
 
 
 def test_compare_parallel_matches_serial(tmp_path):

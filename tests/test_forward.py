@@ -167,12 +167,9 @@ def test_observe_continuum_ball_average():
     # a smooth function averages close to its center value on a small cap
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(cont.count)
-    vals, se = observe_continuum(
-        coeffs, cont, design, cl, seed=2, with_stderr=True
-    )
+    vals = observe_continuum(coeffs, cont, design, cl, seed=2)
     centers = cont.synthesize(coeffs, cl.points[:2])
     assert np.all(np.abs(vals - centers) < 0.2)
-    assert np.all(se > 0)
 
 
 def test_observe_continuum_deterministic():

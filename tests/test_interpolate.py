@@ -4,19 +4,14 @@ from hypothesis import given, strategies as st
 
 from graphheat import (
     PointCloud,
-    PosteriorSummary,
-    SamplerConfig,
     eigendecompose,
     build_eps_graph,
     knn_interpolate,
     l2_distance,
     laplacian,
-    pushforward_chain,
-    pushforward_summary,
     sample_sphere,
     sphere_mc_grid,
 )
-from graphheat.sampler import ChainResult
 
 
 def square_cloud():
@@ -57,12 +52,20 @@ def test_k_out_of_range():
 
 def test_bad_queries_rejected():
     # a NaN query used to get an answer; a wrong dimension failed on
-    # broadcasting
+    # broadcasting; too many nodal values were accepted and too few gave
+    # an IndexError
     cl = square_cloud()
     u = np.arange(4.0)
-    for bad in ([[np.nan, 0.0]], [[0.0, 0.0, 0.0]], [[0.0, -np.inf]]):
-        with pytest.raises(ValueError, match="queries"):
-            knn_interpolate(u, cl, 1, np.array(bad))
+    q = np.array([[0.5, 0.5]])
+    for values, queries, match in (
+        (u, [[np.nan, 0.0]], "queries"),
+        (u, [[0.0, 0.0, 0.0]], "queries"),
+        (u, [[0.0, -np.inf]], "queries"),
+        (np.arange(5.0), q, r"4 nodal values, got shape \(5,\)"),
+        (np.arange(3.0), q, r"4 nodal values, got shape \(3,\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            knn_interpolate(values, cl, 1, np.array(queries))
 
 
 @given(
@@ -89,43 +92,6 @@ def test_interpolant_is_linear(k, scale):
     lhs = knn_interpolate(u + scale * v, cl, k, q)
     rhs = knn_interpolate(u, cl, k, q) + scale * knn_interpolate(v, cl, k, q)
     assert np.allclose(lhs, rhs)
-
-
-def test_pushforward_summary_commutes_on_mean():
-    cl = square_cloud()
-    summ = PosteriorSummary(
-        np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.1, 0.2, 0.3, 0.4]), "oracle"
-    )
-    q = np.array([[0.1, 0.1], [0.9, 0.9]])
-    pushed = pushforward_summary(summ, cl, 4, q)
-    assert pushed.mean.shape == (2,)
-    assert np.allclose(pushed.mean, knn_interpolate(summ.mean, cl, 4, q))
-    assert np.allclose(pushed.variance, knn_interpolate(summ.variance, cl, 4, q))
-    assert pushed.provenance == "oracle"
-    assert np.array_equal(pushed.locations, q)
-
-
-def test_pushforward_chain_matches_manual():
-    cl = sample_sphere(40, seed=9)
-    basis = eigendecompose(laplacian(build_eps_graph(cl, 1.2)), 5)
-    rng = np.random.default_rng(2)
-    samples = rng.standard_normal((30, 5))
-    chain = ChainResult(
-        samples,
-        accepted=30,
-        proposed=30,
-        potentials=np.zeros(30),
-        config=SamplerConfig(beta=0.5, iterations=30, burn_in=0, seed=0),
-    )
-    q = sample_sphere(15, seed=11).points
-    pushed = pushforward_chain(chain, basis, cl, 3, q)
-    nodal = samples @ basis.eigenvectors[:, :5].T
-    per_sample = np.stack(
-        [knn_interpolate(nodal[j], cl, 3, q) for j in range(30)]
-    )
-    assert np.allclose(pushed.mean, per_sample.mean(axis=0))
-    assert np.allclose(pushed.variance, per_sample.var(axis=0))
-    assert pushed.provenance == "chain"
 
 
 def test_mc_grid_is_fixed():

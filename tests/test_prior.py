@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_kl_tail_mass_against_direct_sum():
     direct = float(np.sum((2 * l + 1) * (spec.alpha + l * (l + 1)) ** (-2.5)))
     assert kl_tail_mass(spec, 3) == pytest.approx(direct, rel=1e-6)
     assert kl_tail_mass(spec, 6) < kl_tail_mass(spec, 3)
+
+
+def test_kl_tail_mass_telescoping_case():
+    # alpha = 0, s = 4: (2l+1)/(l(l+1))^2 = 1/l^2 - 1/(l+1)^2, so the tail
+    # past l_max is exactly 1/(l_max+1)^2
+    spec = PriorSpec(alpha=0.0, s=4.0, exclude_constant=True)
+    for l_max in range(11):
+        assert kl_tail_mass(spec, l_max) == pytest.approx(
+            1.0 / (l_max + 1) ** 2, rel=1e-12, abs=0.0)
+
+
+def test_kl_tail_mass_divergent_and_slow_series():
+    for s in (2.0, 1.5):
+        with pytest.raises(ValueError, match="s="):
+            kl_tail_mass(PriorSpec(alpha=1.0, s=s, m=1), 6)
+    # near s = 2 the terms fall so slowly that summing until one is small
+    # would take about 10^10 of them
+    spec = PriorSpec(alpha=1.0, s=2.05)
+    start = time.perf_counter()
+    tail = kl_tail_mass(spec, 6)
+    assert time.perf_counter() - start < 1.0
+    l = np.arange(7, 10**5, dtype=float)
+    assert tail > np.sum((2 * l + 1) * (1.0 + l * (l + 1)) ** -1.025)
 
 
 def test_hs_seminorm_single_mode(basis120):

@@ -61,27 +61,6 @@ def test_sign_rule_holds(basis120):
         assert v[np.argmax(np.abs(v[:, i])), i] > 0
 
 
-def test_dense_vs_iterative_agree():
-    cl = sample_sphere(100, seed=7)
-    lap = laplacian(build_eps_graph(cl, 1.2))
-    dense = eigendecompose(lap, 6, method="dense")
-    iterative = eigendecompose(lap, 6, method="iterative")
-    assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-10)
-    # orientation of exactly tied entries is solver-noise sensitive, so the
-    # vectors are compared up to sign
-    for i in range(6):
-        a, b = dense.eigenvectors[:, i], iterative.eigenvectors[:, i]
-        sign = 1.0 if a @ b >= 0 else -1.0
-        assert np.allclose(a, sign * b, atol=1e-7)
-
-
-def test_unknown_method(basis120):
-    cl = sample_sphere(10, seed=0)
-    lap = laplacian(build_eps_graph(cl, 1.0))
-    with pytest.raises(ValueError):
-        eigendecompose(lap, 2, method="magic")
-
-
 def test_project_synthesize_round_trip(basis120):
     coeffs = np.sin(np.arange(basis120.count))
     u = basis120.synthesize(coeffs)
