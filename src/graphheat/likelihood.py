@@ -4,7 +4,9 @@ Two observation models:
   gaussian  phi(w) = |y - w|^2 / (2 sigma^2)
   probit    phi(w) = -sum_i log Psi(y_i w_i; sigma),  Psi the N(0, sigma^2) CDF
 The chains compose the misfit with the forward map G through its design
-matrix.
+matrix.  The Gaussian composite is a quadratic form in the k coefficients,
+precomputed once, so a chain step costs O(k^2) however many labels p there
+are; its absolute error is about 1e-16 * |y|^2 / (2 sigma^2).
 """
 
 from dataclasses import dataclass
@@ -71,15 +73,23 @@ def potential(w, data, model):
 def potential_from_design_matrix(mat, data, model):
     """Closure a -> phi^y(M a) for coefficient-space samplers.
 
-    mat is the p x k design matrix of G; this is the fast path the chains use.
+    mat is the p x k design matrix of G, one row per label.  Gaussian noise
+    gives a^T (H/2) a - g^T a + c with H = M^T M / sigma^2, g = M^T y / sigma^2
+    and c = |y|^2 / (2 sigma^2), so a call costs O(k^2), not O(pk).
     """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != data.y.shape[0]:
+        raise ValueError("design matrix shape %s does not match label shape %s"
+                         % (mat.shape, data.y.shape))
     if model.kind == GAUSSIAN:
         y = data.y
-        inv_two_sigma2 = 1.0 / (2.0 * model.sigma**2)
+        inv_sigma2 = 1.0 / model.sigma**2
+        half_h = (0.5 * inv_sigma2) * (mat.T @ mat)
+        g = inv_sigma2 * (mat.T @ y)
+        c = (0.5 * inv_sigma2) * float(y @ y)
 
         def phi(a):
-            r = y - mat @ a
-            return float(r @ r) * inv_two_sigma2
+            return float(a.dot(half_h.dot(a) - g)) + c
 
         return phi
 

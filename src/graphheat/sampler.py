@@ -6,9 +6,16 @@ which equals the function-space proposal sqrt(1-beta^2) u + beta zeta because
 the prior is diagonal in the eigenbasis.  Acceptance depends only on the
 misfit potential.  A prior-preconditioned random-walk baseline and an
 initial-monotone-sequence autocorrelation estimator round out the module.
+
+Stream contract: each step draws k standard normals, then one uniform, from
+the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
+chain bit for bit.  The log of the uniform is taken with ``np.log`` on
+purpose: ``math.log`` differs from it in the last bit on some uniforms,
+which can flip an acceptance and change every later state.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,8 @@ class SamplerConfig:
     """Chain length and proposal parameters.
 
     beta in (0, 1]; burn_in iterations are discarded, the rest kept every
-    `thinning` steps.  Identical config and seed give bit-identical chains.
+    `thinning` steps.  Identical config and seed give bit-identical chains:
+    every step draws k normals, then one uniform, from default_rng(seed).
     """
 
     beta: float
@@ -68,36 +76,44 @@ class ChainResult:
         return self.samples.shape[0]
 
 
-def _run_chain(scales, potential, config, proposal):
+def _run_chain(scales, potential, config, propose):
+    """The one chain loop behind pcn and rwm; the loop allocates no arrays.
+
+    propose(state, xi, cand) writes the candidate into cand (it may
+    overwrite xi) and returns the log of any extra acceptance factor.
+    """
     k = scales.shape[0]
     rng = np.random.default_rng(config.seed)
     state = np.zeros(k)
     phi = potential(state)
-    if not np.isfinite(phi):
+    if not math.isfinite(phi):
         raise ValueError("potential is not finite at the zero initial state")
-    retained = []
+    kept = range(config.burn_in, config.iterations, config.thinning)
+    samples = np.empty((len(kept), k))
     potentials = np.empty(config.iterations)
+    cand = np.empty(k)
+    xi = np.empty(k)
     accepted = 0
+    row = 0
     warned = False
     for j in range(config.iterations):
-        xi = rng.standard_normal(k)
-        log_u = np.log(rng.uniform())
-        cand, log_extra = proposal(state, xi, scales)
+        rng.standard_normal(out=xi)
+        log_u = np.log(rng.random())
+        log_extra = propose(state, xi, cand)
         phi_cand = potential(cand)
-        if not np.isfinite(phi_cand):
+        if not math.isfinite(phi_cand):
             if not warned:
                 logger.warning("non-finite potential at a proposal; auto-rejected")
                 warned = True
         elif log_u <= phi - phi_cand + log_extra:
-            state = cand
+            state, cand = cand, state
             phi = phi_cand
             accepted += 1
         potentials[j] = phi
-        if j >= config.burn_in and (j - config.burn_in) % config.thinning == 0:
-            retained.append(state.copy())
-    return ChainResult(
-        np.array(retained), accepted, config.iterations, potentials, config
-    )
+        if j in kept:
+            samples[row] = state
+            row += 1
+    return ChainResult(samples, accepted, config.iterations, potentials, config)
 
 
 def pcn(basis, prior_spec, potential, config):
@@ -107,16 +123,22 @@ def pcn(basis, prior_spec, potential, config):
     ----------
     basis : SpectralBasis (or any object with eigenvalues and count)
     prior_spec : PriorSpec
-    potential : callable mapping a coefficient vector to the misfit Phi
+    potential : callable mapping a coefficient vector to the misfit Phi, a
+        float.  It is called on a buffer the chain reuses, so it must not
+        keep its argument.
     config : SamplerConfig
     """
     scales = prior_spec.truncated_scales(basis)
     contraction = np.sqrt(1.0 - config.beta**2)
+    beta_scales = config.beta * scales
 
-    def proposal(state, xi, sc):
-        return contraction * state + config.beta * sc * xi, 0.0
+    def propose(state, xi, cand):
+        np.multiply(xi, beta_scales, xi)
+        np.multiply(state, contraction, cand)
+        np.add(cand, xi, cand)
+        return 0.0
 
-    return _run_chain(scales, potential, config, proposal)
+    return _run_chain(scales, potential, config, propose)
 
 
 def rwm(basis, prior_spec, potential, config, step):
@@ -129,15 +151,14 @@ def rwm(basis, prior_spec, potential, config, step):
         raise ValueError("step must be >= 0")
     scales = prior_spec.truncated_scales(basis)
     safe = np.where(scales > 0, scales, 1.0)
+    step_scales = step * scales
 
-    def proposal(state, xi, sc):
-        cand = state + step * sc * xi
-        log_prior_ratio = 0.5 * (
-            np.sum((state / safe) ** 2) - np.sum((cand / safe) ** 2)
-        )
-        return cand, log_prior_ratio
+    def propose(state, xi, cand):
+        np.multiply(xi, step_scales, xi)
+        np.add(state, xi, cand)
+        return 0.5 * (np.sum((state / safe) ** 2) - np.sum((cand / safe) ** 2))
 
-    return _run_chain(scales, potential, config, proposal)
+    return _run_chain(scales, potential, config, propose)
 
 
 def acceptance_rate(chain):

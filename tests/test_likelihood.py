@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,26 @@ def test_design_matrix_potential_closure(basis120, sphere120):
     for seed in range(3):
         a = np.random.default_rng(seed).standard_normal(basis120.count)
         assert phi(a) == pytest.approx(potential(mat @ a, data, model), rel=1e-12)
+    # The quadratic form subtracts terms of size c = |y|^2 / (2 sigma^2);
+    # at the least-squares fit of large labels c dwarfs phi itself.
+    big = LabeledData(1e3 * y, design, 0.2, "gaussian", 0.3)
+    c = float(big.y @ big.y) / (2.0 * 0.3**2)
+    phi = potential_from_design_matrix(mat, big, model)
+    a_star = np.linalg.lstsq(mat, big.y, rcond=None)[0]
+    exact = potential(mat @ a_star, big, model)
+    assert c > 1e7 * exact
+    assert abs(phi(a_star) - exact) <= 1e-12 * (c + exact)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "probit"])
+@pytest.mark.parametrize("shape", [(1, 4), (3, 4), (5,)])
+def test_design_matrix_must_match_labels(kind, shape):
+    y = [1.0, -1.0, 1.0, 1.0, -1.0]
+    data = gaussian_data(y) if kind == "gaussian" else probit_data(y)
+    model = NoiseModel(kind, 0.5)
+    message = "shape %s does not match label shape (5,)" % (shape,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        potential_from_design_matrix(np.ones(shape), data, model)
 
 
 def test_synthesize_gaussian_continuum():

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from graphheat import (
+    LabeledData,
+    NoiseModel,
     PriorSpec,
     SamplerConfig,
     acceptance_rate,
+    first_p_design,
     integrated_autocorr_time,
     pcn,
     posterior_mean,
+    potential_from_design_matrix,
     rwm,
 )
 
@@ -20,12 +24,13 @@ ZERO_POTENTIAL = lambda a: 0.0
 
 
 class FlatBasis:
-    """Stand-in basis: k unit-eigenvalue modes over an abstract cloud."""
+    """Stand-in basis: k modes over an abstract cloud, unit eigenvalues by default."""
 
-    def __init__(self, k, n=None):
+    def __init__(self, k, n=None, eigenvalues=None):
         self.count = k
         self.n = n or k
-        self.eigenvalues = np.ones(k)
+        self.eigenvalues = (np.ones(k) if eigenvalues is None
+                            else np.asarray(eigenvalues, dtype=float))
         self.eigenvectors = np.eye(self.n, k)
 
     def synthesize(self, coeffs):
@@ -107,6 +112,142 @@ def test_nonfinite_proposals_rejected_with_one_warning(caplog):
     assert np.all(chain.samples == 0.0)
     warnings = [r for r in caplog.records if "auto-rejected" in r.message]
     assert len(warnings) == 1
+
+
+def reference_chain(scales, potential, config, proposal):
+    """Serial reference for the chain kernel: fresh arrays every step.
+
+    The step loop the allocation-free kernel replaced, less its warning.
+    Any change to the random stream, the proposal arithmetic or the
+    acceptance rule makes the kernel disagree with this loop.
+    """
+    k = scales.shape[0]
+    rng = np.random.default_rng(config.seed)
+    state = np.zeros(k)
+    phi = potential(state)
+    retained = []
+    potentials = np.empty(config.iterations)
+    accepted = 0
+    for j in range(config.iterations):
+        xi = rng.standard_normal(k)
+        log_u = np.log(rng.uniform())
+        cand, log_extra = proposal(state, xi, scales)
+        phi_cand = potential(cand)
+        if np.isfinite(phi_cand) and log_u <= phi - phi_cand + log_extra:
+            state = cand
+            phi = phi_cand
+            accepted += 1
+        potentials[j] = phi
+        if j >= config.burn_in and (j - config.burn_in) % config.thinning == 0:
+            retained.append(state.copy())
+    return np.array(retained), accepted, potentials
+
+
+def reference_pcn(beta):
+    contraction = np.sqrt(1.0 - beta**2)
+
+    def proposal(state, xi, sc):
+        return contraction * state + beta * sc * xi, 0.0
+
+    return proposal
+
+
+def reference_rwm(step, scales):
+    safe = np.where(scales > 0, scales, 1.0)
+
+    def proposal(state, xi, sc):
+        cand = state + step * sc * xi
+        log_prior_ratio = 0.5 * (
+            np.sum((state / safe) ** 2) - np.sum((cand / safe) ** 2)
+        )
+        return cand, log_prior_ratio
+
+    return proposal
+
+
+def gaussian_design_problem(k, p, sigma, seed):
+    """Random p x k design, labels, and the closure the chains use."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((p, k))
+    y = 0.5 * rng.standard_normal(p)
+    data = LabeledData(y, first_p_design(p), 0.0, "gaussian", sigma)
+    return mat, data, potential_from_design_matrix(
+        mat, data, NoiseModel("gaussian", sigma))
+
+
+def residual_potential(mat, y, sigma):
+    inv_two_sigma2 = 1.0 / (2.0 * sigma**2)
+
+    def phi(a):
+        r = y - mat @ a
+        return float(r @ r) * inv_two_sigma2
+
+    return phi
+
+
+def finite_near_zero(a):
+    return math.inf if a[0] > 0.5 else 0.5 * float(a @ a)
+
+
+REFERENCE_BASIS = FlatBasis(4, eigenvalues=[0.0, 2.0, 2.0, 6.0])
+REFERENCE_SPEC = PriorSpec(alpha=1.0, s=5.0)
+
+
+@pytest.mark.parametrize("sampler", ["pcn", "rwm"])
+@pytest.mark.parametrize("target", ["design", "non-finite"])
+def test_kernel_reproduces_reference_loop(sampler, target):
+    cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, thinning=3,
+                        seed=11)
+    scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
+    if target == "design":
+        mat, data, fast = gaussian_design_problem(4, 12, 0.4, seed=12)
+        slow = residual_potential(mat, data.y, 0.4)
+        c = float(data.y @ data.y) / (2.0 * 0.4**2)
+    else:
+        fast = slow = finite_near_zero
+        c = 0.0
+    if sampler == "pcn":
+        chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg)
+        proposal = reference_pcn(cfg.beta)
+    else:
+        chain = rwm(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg, step=0.7)
+        proposal = reference_rwm(0.7, scales)
+    samples, accepted, potentials = reference_chain(scales, slow, cfg, proposal)
+    assert 0 < accepted < cfg.iterations
+    assert chain.samples.shape == samples.shape == (834, 4)
+    assert np.array_equal(chain.samples, samples)
+    assert chain.accepted == accepted
+    assert chain.proposed == cfg.iterations
+    assert np.all(np.abs(chain.potentials - potentials)
+                  <= 1e-12 * (c + potentials))
+
+
+def test_pcn_acceptance_matches_stationary_prediction():
+    # Conjugate target: prior N(0, D), D = diag(scales^2), and Gaussian
+    # labels give the coefficient posterior N(mu, C), C = (D^-1 + H)^-1,
+    # mu = C g.  At stationarity the pCN acceptance is the mean of
+    # min(1, exp(Phi(a) - Phi(a'))) over a ~ N(mu, C) and a' its proposal.
+    sigma = 0.5
+    mat, data, phi = gaussian_design_problem(4, 30, sigma, seed=13)
+    scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
+    h = mat.T @ mat / sigma**2
+    g = mat.T @ data.y / sigma**2
+    cov = np.linalg.inv(np.diag(scales**-2.0) + h)
+    mu = cov @ g
+    rng = np.random.default_rng(14)
+    draws = 200000
+    a = mu + rng.standard_normal((draws, 4)) @ np.linalg.cholesky(cov).T
+    xi = rng.standard_normal((draws, 4))
+
+    def misfit(x):
+        return 0.5 * np.einsum("ij,jk,ik->i", x, h, x) - x @ g
+
+    for beta in (0.1, 0.3, 0.6):
+        moved = np.sqrt(1.0 - beta**2) * a + beta * scales * xi
+        predicted = np.minimum(1.0, np.exp(misfit(a) - misfit(moved))).mean()
+        cfg = SamplerConfig(beta=beta, iterations=20000, seed=15)
+        chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg)
+        assert acceptance_rate(chain) == pytest.approx(predicted, abs=0.02)
 
 
 def conjugate_posterior_stats():
