@@ -14,7 +14,9 @@ replicate share geometry and, when the labeled set is a prefix, share data.
 
 All result files are byte-deterministic for a given config.  The manifest
 additionally records wall time and library versions, so only the manifest
-differs between identical runs.
+differs between identical runs.  Its metrics also name, per cloud size n,
+the eigensolver behind the bases (``eigensolver``) and their largest
+relative residual (``eigen_residual``).
 
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
@@ -332,6 +334,18 @@ def _posterior_chain(cfg, n, p, replicate):
     return cl, basis, spec, data, chain
 
 
+def _eigensolver_metrics(bases):
+    """Solver and largest relative residual per cloud size, keyed by str(n).
+
+    bases holds (n, solver, residual) for every basis a run built.
+    """
+    solver, residual = {}, {}
+    for n, name, res in bases:
+        solver[str(n)] = name
+        residual[str(n)] = max(res, residual.get(str(n), 0.0))
+    return {"eigensolver": solver, "eigen_residual": residual}
+
+
 def _sweep_point(cfg, n, replicate):
     p = n if cfg.kind == "supervised-sweep" else cfg.p
     _, basis, _, _, chain = _posterior_chain(cfg, n, p, replicate)
@@ -339,6 +353,8 @@ def _sweep_point(cfg, n, replicate):
     return {
         "acceptance": acceptance_rate(chain),
         "iact": integrated_autocorr_time(trace),
+        "solver": basis.solver,
+        "residual": basis.residual,
     }
 
 
@@ -354,7 +370,8 @@ def _compare_point(cfg, n, replicate):
         l_cont += 1
     co = continuum_posterior(data, ContinuumBasis(l_cont), spec, cfg.t,
                              cfg.sigma, grid.points, cl)
-    return float(l2_distance(push, co.mean))
+    return {"distance": float(l2_distance(push, co.mean)),
+            "solver": basis.solver, "residual": basis.residual}
 
 
 def _seed_record(cfg, n, replicate):
@@ -376,7 +393,8 @@ def _grid_worker(args):
 def _run_grid(cfg, jobs, point):
     """point(cfg, n, r) over cfg.n_grid x replicates, in `jobs` processes.
 
-    Returns the results keyed by (n, r) and the seed records in grid order.
+    Returns the results keyed by (n, r), the seed records in grid order and
+    the eigensolver metrics of the points' bases.
     """
     pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
     if jobs <= 1 or len(pairs) <= 1:
@@ -388,7 +406,9 @@ def _run_grid(cfg, jobs, point):
         with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
             values = list(pool.map(_grid_worker, args))
     seeds = [_seed_record(cfg, n, r) for n, r in pairs]
-    return dict(zip(pairs, values)), seeds
+    solver = _eigensolver_metrics((n, v["solver"], v["residual"])
+                                  for (n, _), v in zip(pairs, values))
+    return dict(zip(pairs, values)), seeds, solver
 
 
 # --- CSV / SVG formatting ------------------------------------------------
@@ -474,12 +494,13 @@ def _svg_line_plot(title, xlabel, ylabel, series):
 
 
 def _run_spectra(cfg, jobs):
-    files, errs, series = {}, {}, []
+    files, errs, series, bases = {}, {}, [], []
     cl = _cloud(cfg, cfg.n, 0)
     cont = ContinuumBasis(12)
     lam_cont = cont.eigenvalues
     for mult in cfg.eps_multipliers:
         basis, _ = _basis(cfg, cl, min(50, cfg.n), mult)
+        bases.append((cfg.n, basis.solver, basis.residual))
         lam = [float(x) for x in basis.eigenvalues]
         rows = [(i + 1, lam[i],
                  float(lam_cont[i]) if i < lam_cont.size else math.nan)
@@ -497,6 +518,7 @@ def _run_spectra(cfg, jobs):
         "graph vs sphere spectrum (n=%d)" % cfg.n, "index", "eigenvalue",
         series)
     metrics = {"mean_rel_error_modes_2_9": errs}
+    metrics.update(_eigensolver_metrics(bases))
     return files, metrics, [_seed_record(cfg, cfg.n, 0)]
 
 
@@ -514,7 +536,10 @@ def _run_regularity(cfg, jobs):
         "s", "log max osc", [("", xs, [r[2] for r in rows])])
     inversions = sum(1 for i in range(len(table) - 1)
                      if table[i + 1][1] > table[i][1])
-    return files, {"inversions": inversions}, [_seed_record(cfg, cfg.n, 0)]
+    metrics = {"inversions": inversions}
+    metrics.update(_eigensolver_metrics([(cfg.n, basis.solver,
+                                          basis.residual)]))
+    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
 
 
 def _run_posterior(cfg, jobs):
@@ -525,6 +550,8 @@ def _run_posterior(cfg, jobs):
         "acceptance": acceptance_rate(chain),
         "iact_u_x1": integrated_autocorr_time(trace),
     }
+    metrics.update(_eigensolver_metrics([(cfg.n, basis.solver,
+                                          basis.residual)]))
     header = ["x", "y", "z", "chain_mean"]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean_fn.values]
     if cfg.noise == "gaussian":
@@ -550,7 +577,7 @@ def _run_posterior(cfg, jobs):
 
 
 def _run_sweep(cfg, jobs):
-    results, seeds = _run_grid(cfg, jobs, _sweep_point)
+    results, seeds, solver = _run_grid(cfg, jobs, _sweep_point)
     run_rows, acc_rows, iact_rows = [], [], []
     acc_med, iact_med = {}, {}
     for n in cfg.n_grid:
@@ -575,14 +602,16 @@ def _run_sweep(cfg, jobs):
         [("", [float(n) for n, _ in acc_rows], [a for _, a in acc_rows])])
     metrics = {"acceptance": {str(n): acc_med[n] for n in cfg.n_grid},
                "iact": {str(n): iact_med[n] for n in cfg.n_grid}}
+    metrics.update(solver)
     return files, metrics, seeds
 
 
 def _run_compare(cfg, jobs):
-    results, seeds = _run_grid(cfg, jobs, _compare_point)
-    rows = [(r, n, results[(n, r)])
+    results, seeds, solver = _run_grid(cfg, jobs, _compare_point)
+    dist = {key: v["distance"] for key, v in results.items()}
+    rows = [(r, n, dist[(n, r)])
             for n in cfg.n_grid for r in range(cfg.replicates)]
-    medians = {n: float(np.median([results[(n, r)]
+    medians = {n: float(np.median([dist[(n, r)]
                                    for r in range(cfg.replicates)]))
                for n in cfg.n_grid}
     files = {"consistency.csv": _csv(("replicate", "n", "distance"), rows)}
@@ -591,6 +620,7 @@ def _run_compare(cfg, jobs):
         [("", [float(n) for n in cfg.n_grid],
           [medians[n] for n in cfg.n_grid])])
     metrics = {"median_distance": {str(n): medians[n] for n in cfg.n_grid}}
+    metrics.update(solver)
     return files, metrics, seeds
 
 
@@ -602,7 +632,8 @@ def _run_prior_sample(cfg, jobs):
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2]]
     cols += [d.values for d in draws]
     files = {"prior_draws.csv": _csv(header, list(zip(*cols)))}
-    return files, {}, [_seed_record(cfg, cfg.n, 0)]
+    metrics = _eigensolver_metrics([(cfg.n, basis.solver, basis.residual)])
+    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
 
 
 _RUNNERS = {

@@ -11,6 +11,7 @@ from graphheat import (
     ContinuumBasis,
     DEFAULT_TRUTH,
     ExperimentConfig,
+    GraphLaplacian,
     PointCloud,
     run_experiment,
     truth_coefficients,
@@ -338,6 +339,39 @@ def test_runs_call_no_dense_distances(tmp_path, monkeypatch):
     for kind in ("oracle-compare", "posterior", "regularity"):
         run_experiment(toy_cfg(kind), out_dir=str(tmp_path / kind), jobs=1)
     assert dense == []
+
+
+def test_truncated_runs_form_no_dense_laplacian(tmp_path, monkeypatch):
+    # every truncated basis (2k < n) comes from the sparse solver; only the
+    # full spectrum of the regularity study takes the dense matrix
+    dense = []
+    reference = GraphLaplacian.dense
+
+    def counting(lap):
+        dense.append(lap.n)
+        return reference(lap)
+
+    monkeypatch.setattr(GraphLaplacian, "dense", counting)
+    for cfg in (toy_cfg("posterior"), toy_cfg("oracle-compare"),
+                toy_cfg("acceptance-sweep"), toy_cfg("spectra", n=120)):
+        run_experiment(cfg, out_dir=str(tmp_path / cfg.kind), jobs=1)
+    assert dense == []
+    run_experiment(toy_cfg("regularity"), out_dir=str(tmp_path / "reg"))
+    assert dense == [50]
+
+
+def test_manifest_names_the_eigensolver(tmp_path):
+    sweep = json.load(open(run_experiment(
+        toy_cfg("acceptance-sweep"), out_dir=str(tmp_path / "sweep"))))
+    assert sweep["metrics"]["eigensolver"] == {"40": "shift-invert",
+                                               "60": "shift-invert"}
+    assert set(sweep["metrics"]["eigen_residual"]) == {"40", "60"}
+    assert all(0.0 <= r < 1e-10
+               for r in sweep["metrics"]["eigen_residual"].values())
+    reg = json.load(open(run_experiment(
+        toy_cfg("regularity"), out_dir=str(tmp_path / "reg"))))
+    assert reg["metrics"]["eigensolver"] == {"50": "dense"}
+    assert 0.0 <= reg["metrics"]["eigen_residual"]["50"] < 1e-10
 
 
 def test_supervised_sweep_labels_everything(tmp_path):

@@ -11,19 +11,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from graphheat import (
     ContinuumBasis,
     PointCloud,
     build_eps_graph,
+    default_eps,
     eigendecompose,
     kernel_weight,
     laplacian,
     sample_sphere,
     spectral_error,
+    sphere_calibration,
     sphere_eigenvalue,
     sphere_harmonic,
 )
+from graphheat.spectral import _fix_signs
 
 
 def test_two_node_eigenpairs():
@@ -137,3 +141,151 @@ def test_spectral_error_hand_case():
     assert np.allclose(errs, [0.1, 0.1])
     with pytest.raises(ValueError):
         spectral_error(graph_side, sphere_side, 4)
+
+
+# --- shift-invert Lanczos against the dense reference --------------------
+
+# index ranges of the sphere's eigenvalue clusters l = 0..3 (multiplicity
+# 2l+1); single eigenvectors inside a cluster are only nearly unique, the
+# cluster's projector is not
+CLUSTERS = ((0, 1), (1, 4), (4, 9), (9, 16))
+
+
+def sphere_laplacian(n, seed):
+    graph = build_eps_graph(sample_sphere(n, seed=seed),
+                            default_eps(n, 2, 2.0))
+    return laplacian(graph, sphere_calibration(n))
+
+
+def dense_reference(lap, k):
+    """The k lowest eigenpairs from the dense solver, in the basis' scaling."""
+    vals, vecs = linalg.eigh(lap.dense(), subset_by_index=[0, k - 1])
+    return vals, _fix_signs(vecs * np.sqrt(lap.n))
+
+
+def assert_eigenvalues_close(got, ref):
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+def assert_eigenvectors_close(got, ref):
+    """Elementwise within 1e-9 under the sign rule.
+
+    Where a column's two largest magnitudes tie to roundoff (an
+    antisymmetric mode, such as one living on an isolated pair of points),
+    the rule has no sign to pick, so that column is compared up to sign.
+    """
+    for j in range(ref.shape[1]):
+        second, first = np.sort(np.abs(ref[:, j]))[-2:]
+        err = np.max(np.abs(got[:, j] - ref[:, j]))
+        if first - second <= 1e-9 * first:
+            err = min(err, np.max(np.abs(got[:, j] + ref[:, j])))
+        assert err <= 1e-9, j
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,k", [(200, 4), (400, 16), (800, 20)])
+def test_shift_invert_matches_dense(n, k, seed):
+    lap = sphere_laplacian(n, seed)
+    basis = eigendecompose(lap, k)
+    vals, vecs = dense_reference(lap, k)
+    assert basis.solver == "shift-invert"
+    assert basis.eigenvalues[0] == 0.0
+    assert_eigenvalues_close(basis.eigenvalues, vals)
+    assert_eigenvectors_close(basis.eigenvectors, vecs)
+    for lo, hi in CLUSTERS:
+        if hi <= k:
+            got = basis.eigenvectors[:, lo:hi]
+            ref = vecs[:, lo:hi]
+            assert np.max(np.abs(got @ got.T - ref @ ref.T)) / n <= 1e-10
+
+
+def test_shift_invert_is_bit_reproducible():
+    # ARPACK starts from a random vector unless given one; a fixed start
+    # vector keeps repeated runs in one process bit-identical
+    lap = sphere_laplacian(300, 5)
+    first = eigendecompose(lap, 16)
+    eigendecompose(sphere_laplacian(250, 6), 16)
+    again = eigendecompose(lap, 16)
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    assert np.array_equal(first.eigenvectors, again.eigenvectors)
+    assert first.residual == again.residual
+
+
+def test_two_components_give_two_exact_zeros():
+    # two polar caps, more than eps apart: a two-dimensional null space
+    pts = sample_sphere(1000, seed=7).points
+    cloud = PointCloud(pts[np.abs(pts[:, 2]) > 0.6], 2)
+    graph = build_eps_graph(cloud, default_eps(cloud.n, 2, 2.0))
+    assert graph.n_components == 2
+    lap = laplacian(graph, sphere_calibration(cloud.n))
+    basis = eigendecompose(lap, 6)
+    assert basis.solver == "shift-invert"
+    assert np.count_nonzero(basis.eigenvalues == 0.0) == 2
+    assert basis.eigenvalues[2] > 0.1
+    vals, vecs = dense_reference(lap, 6)
+    assert_eigenvalues_close(basis.eigenvalues, vals)
+    null, ref = basis.eigenvectors[:, :2], vecs[:, :2]
+    assert np.max(np.abs(null @ null.T - ref @ ref.T)) / cloud.n <= 1e-10
+
+
+def test_calibration_scales_eigenvalues_only():
+    # the shift follows the matrix scale, so calibration 1 (eigenvalues
+    # near 1e-5) converges to the same pairs as the sphere calibration
+    n = 500
+    graph = build_eps_graph(sample_sphere(n, seed=8), default_eps(n, 2, 2.0))
+    raw = eigendecompose(laplacian(graph), 16)
+    scaled = eigendecompose(laplacian(graph, 8.0 * math.pi * n), 16)
+    assert raw.eigenvalues[0] == scaled.eigenvalues[0] == 0.0
+    assert np.allclose(raw.eigenvalues[1:] * 8.0 * math.pi * n,
+                       scaled.eigenvalues[1:], rtol=1e-10, atol=0.0)
+    assert_eigenvectors_close(raw.eigenvectors, scaled.eigenvectors)
+
+
+def test_shift_sits_below_a_fine_low_spectrum():
+    # a path of unit-weight edges: the low eigenvalues 2 - 2cos(pi j/n),
+    # about 1e-5 j^2, sit far below 1e-3 of the mean degree, so a shift
+    # placed above zero instead of below would pick the wrong eigenvalues
+    n = 1000
+    cloud = PointCloud(np.c_[np.arange(n, dtype=float), np.zeros(n)], 1)
+    graph = build_eps_graph(cloud, 1.5)
+    lap = laplacian(graph, 1.0 / graph.weight_value)
+    basis = eigendecompose(lap, 4)
+    expected = 2.0 - 2.0 * np.cos(np.pi * np.arange(4) / n)
+    assert basis.solver == "shift-invert"
+    assert basis.eigenvalues[0] == 0.0
+    assert np.allclose(basis.eigenvalues, expected, rtol=1e-9, atol=0.0)
+    vals, vecs = dense_reference(lap, 4)
+    assert_eigenvalues_close(basis.eigenvalues, vals)
+    assert_eigenvectors_close(basis.eigenvectors, vecs)
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_solver_cut_at_half_the_cloud(n):
+    lap = sphere_laplacian(n, 9)
+    k = math.ceil(n / 2)
+    sparse_side = eigendecompose(lap, k - 1)
+    dense_side = eigendecompose(lap, k)
+    assert sparse_side.solver == "shift-invert"
+    assert dense_side.solver == "dense"
+    assert_eigenvalues_close(sparse_side.eigenvalues,
+                             dense_side.eigenvalues[:k - 1])
+    assert_eigenvectors_close(sparse_side.eigenvectors,
+                              dense_side.eigenvectors[:, :k - 1])
+
+
+def test_graph_without_edges():
+    # L = 0 has trace 0, so the shift cannot follow the matrix scale
+    cloud = sample_sphere(50, seed=1)
+    basis = eigendecompose(laplacian(build_eps_graph(cloud, 1e-3)), 4)
+    assert basis.solver == "shift-invert"
+    assert np.array_equal(basis.eigenvalues, np.zeros(4))
+    gram = basis.eigenvectors.T @ basis.eigenvectors / 50
+    assert np.allclose(gram, np.eye(4), atol=1e-12)
+
+
+def test_residual_reports_solver_accuracy(basis120):
+    assert basis120.solver == "shift-invert"
+    assert 0.0 <= basis120.residual < 1e-10
+    full = eigendecompose(sphere_laplacian(60, 4), 60)
+    assert full.solver == "dense"
+    assert 0.0 <= full.residual < 1e-10
