@@ -74,8 +74,10 @@ from .sampler import (
 from .oracle import (
     CovarianceKernels,
     PosteriorSummary,
+    coefficient_posterior,
     continuum_posterior,
     graph_posterior,
+    predicted_acceptance,
 )
 from .interpolate import knn_interpolate, l2_distance, sphere_mc_grid
 from .experiments import (

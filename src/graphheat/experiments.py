@@ -16,7 +16,9 @@ All result files are byte-deterministic for a given config.  The manifest
 additionally records wall time and library versions, so only the manifest
 differs between identical runs.  Its metrics also name, per cloud size n,
 the eigensolver behind the bases (``eigensolver``) and their largest
-relative residual (``eigen_residual``).
+relative residual (``eigen_residual``).  Gaussian acceptance sweeps record,
+next to the measured acceptance, the stationary acceptance predicted from
+the closed-form posterior (``predicted_acceptance``).
 
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
@@ -40,7 +42,7 @@ from .forward import design_matrix, first_p_design
 from .graph import build_eps_graph, default_eps, laplacian, sphere_calibration
 from .interpolate import knn_interpolate, sphere_mc_grid, l2_distance
 from .likelihood import NoiseModel, potential_from_design_matrix, synthesize_data
-from .oracle import continuum_posterior, graph_posterior
+from .oracle import continuum_posterior, graph_posterior, predicted_acceptance
 from .prior import PriorSpec, regularity_experiment, sample_graph_prior
 from .sampler import (
     SamplerConfig,
@@ -322,7 +324,10 @@ def _problem(cfg, n, replicate, p=None):
 
 
 def _posterior_chain(cfg, n, p, replicate):
-    """Build one posterior end to end and run its pCN chain."""
+    """Build one posterior end to end and run its pCN chain.
+
+    Returns the problem, the design matrix and the chain.
+    """
     cl, basis, spec, data = _problem(cfg, n, replicate, p)
     mat = design_matrix(basis, cfg.t, data.design, cl)
     phi = potential_from_design_matrix(mat, data,
@@ -331,7 +336,7 @@ def _posterior_chain(cfg, n, p, replicate):
                        burn_in=cfg.burn_in, thinning=cfg.thinning,
                        seed=900 + cfg.seed + replicate)
     chain = pcn(basis, spec, phi, sc)
-    return cl, basis, spec, data, chain
+    return cl, basis, spec, data, mat, chain
 
 
 def _eigensolver_metrics(bases):
@@ -348,10 +353,16 @@ def _eigensolver_metrics(bases):
 
 def _sweep_point(cfg, n, replicate):
     p = n if cfg.kind == "supervised-sweep" else cfg.p
-    _, basis, _, _, chain = _posterior_chain(cfg, n, p, replicate)
+    _, basis, spec, data, mat, chain = _posterior_chain(cfg, n, p, replicate)
     trace = chain.samples @ basis.eigenvectors[0, :]
+    predicted = None
+    if cfg.noise == "gaussian":
+        predicted = predicted_acceptance(
+            mat, spec.truncated_scales(basis) ** 2, data.y, cfg.sigma,
+            cfg.beta, seed=chain.config.seed)
     return {
         "acceptance": acceptance_rate(chain),
+        "predicted": predicted,
         "iact": integrated_autocorr_time(trace),
         "solver": basis.solver,
         "residual": basis.residual,
@@ -543,7 +554,7 @@ def _run_regularity(cfg, jobs):
 
 
 def _run_posterior(cfg, jobs):
-    cl, basis, spec, data, chain = _posterior_chain(cfg, cfg.n, cfg.p, 0)
+    cl, basis, spec, data, _, chain = _posterior_chain(cfg, cfg.n, cfg.p, 0)
     mean_fn = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
     metrics = {
@@ -602,6 +613,13 @@ def _run_sweep(cfg, jobs):
         [("", [float(n) for n, _ in acc_rows], [a for _, a in acc_rows])])
     metrics = {"acceptance": {str(n): acc_med[n] for n in cfg.n_grid},
                "iact": {str(n): iact_med[n] for n in cfg.n_grid}}
+    if cfg.noise == "gaussian":
+        # Stationary acceptance of the closed-form posterior, median over
+        # replicates like the measured one.
+        metrics["predicted_acceptance"] = {
+            str(n): float(np.median([results[(n, r)]["predicted"]
+                                     for r in range(cfg.replicates)]))
+            for n in cfg.n_grid}
     metrics.update(solver)
     return files, metrics, seeds
 

@@ -9,6 +9,7 @@ averages over closed delta-balls.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .prior import CloudFunction, _coefficients
 
@@ -76,25 +77,28 @@ def heat_continuum(coeffs, cont, t):
 
 
 def observation_matrix(design, cloud):
-    """The p x n matrix of the observation map O on nodal values.
+    """The p x n matrix of the observation map O on nodal values, in CSR form.
 
     Pointwise rows are indicator rows; ball rows average the nodal values over
     the closed delta-ball around each labeled point (the center is always in
-    its own ball, so rows are never empty).
+    its own ball, so rows are never empty).  Only the nonzeros are stored, so
+    p = n costs O(n) memory, not O(n^2).
     """
     p, n = design.p, cloud.n
     if any(i >= n for i in design.labeled):
         raise ValueError("labeled index out of range for cloud of size %d" % n)
-    mat = np.zeros((p, n))
     if design.mode == POINTWISE:
-        for row, j in enumerate(design.labeled):
-            mat[row, j] = 1.0
+        cols = np.array(design.labeled, dtype=np.intp)
+        sizes = np.ones(p, dtype=np.intp)
     else:
         indptr, indices = cloud.eps_balls(design.delta)
-        for row, j in enumerate(design.labeled):
-            ball = indices[indptr[j]:indptr[j + 1]]
-            mat[row, ball] = 1.0 / len(ball)
-    return mat
+        cols = np.concatenate([indices[indptr[j]:indptr[j + 1]]
+                               for j in design.labeled])
+        sizes = np.diff(indptr)[list(design.labeled)]
+    rowptr = np.zeros(p + 1, dtype=np.intp)
+    np.cumsum(sizes, out=rowptr[1:])
+    return sparse.csr_matrix((np.repeat(1.0 / sizes, sizes), cols, rowptr),
+                             shape=(p, n))
 
 
 def _cap_samples(center, delta, rng):

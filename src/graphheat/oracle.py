@@ -1,31 +1,44 @@
 """Closed-form Gaussian posteriors for the linear heat-observation model.
 
-The prior covariance c_u and the heat map F^t give three kernels, each a
-series over the retained eigenpairs:
+The prior puts independent N(0, d_i) laws on the k retained coefficients,
+d_i = (alpha+lambda_i)^(-s/2), and labels are y = M a + N(0, sigma^2 I),
+where the p x k design M holds the observation rows of the eigenfeatures
+damped by exp(-lambda_i t).  The posterior on the coefficients is the
+conjugate Gaussian N(mu, C) (Stuart, 2010, Inverse problems: a Bayesian
+perspective):
 
-  c_u(x, x~) = sum_i (alpha+lambda_i)^(-s/2) psi_i(x) psi_i(x~)
-  c_v        = same series with an extra factor exp(-2 lambda_i t)   (v = F u)
-  c_w        = same with factor exp(-lambda_i t)                     (cross)
+  C = (D^-1 + M^T M / sigma^2)^-1,    mu = C M^T y / sigma^2,
 
-The posterior mean given y at observed locations X is
-  m(x) = c_w(x, X) (c_v(X, X) + sigma^2 I)^{-1} y
-and the pointwise variance
-  var(x) = c_u(x, x) - c_w(x, X) (c_v(X, X) + sigma^2 I)^{-1} c_w(X, x).
+a k x k problem however many labels or query points there are.
+``coefficient_posterior`` computes it from an SVD of the whitened design
+B = M D^(1/2) / sigma = U S V^T, with V square (k x k) and the singular
+values s padded with zeros past min(p, k):
 
-``_kernel_posterior`` evaluates both from the eigenfeatures psi_i at X and
-at the query points; ``graph_posterior`` feeds it graph eigenvectors and
-``continuum_posterior`` spherical harmonics.  These are the ground truth
-the pCN chains are validated against; gaussian noise only.  The noise
-variance written gamma^2 in some regression treatments is the same sigma^2
-used everywhere here.
+  C = D^(1/2) V diag(1/(1+s^2)) V^T D^(1/2),
+  mu = D^(1/2) V diag(s/(1+s^2)) U^T y / sigma,
+
+which stays finite and positive semi-definite as sigma -> 0, where
+I + B^T B is numerically singular.  The SVD costs O(p k^2) and holds
+nothing larger than max(p, k) x k.  At query features psi (one row per
+point) the mean is psi mu and the variance the diagonal of psi C psi^T.
+``graph_posterior`` feeds graph eigenvectors, ``continuum_posterior``
+spherical harmonics.  These are the ground truth the pCN chains are
+validated against; gaussian noise only.
+
+In the same whitened coordinates z = D^(-1/2) a the pCN proposal is
+z' = sqrt(1-beta^2) z + beta xi, and the misfit sees only the components
+w = V^T z along the r = min(p, k) singular directions, where the posterior
+is a product of independent one-dimensional Gaussians.
+``predicted_acceptance`` uses this to predict a chain's stationary
+acceptance rate from Monte Carlo draws, without running a chain.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy import linalg
 
-from .forward import observation_matrix
+from .forward import BALL, observation_matrix
 from .likelihood import GAUSSIAN
 
 
@@ -58,54 +71,112 @@ def covariance_kernels(spec, t, basis):
     return CovarianceKernels(spec, t, basis)
 
 
-def _kernel_posterior(d_u, lam, t, psi_x, psi_q, y, sigma):
-    """Posterior mean and variance at the query features psi_q.
+def _whitened_svd(mat, d_u, y, sigma):
+    """Singular values s, the k x k right factor V^T and U^T y / sigma.
 
-    d_u are the prior variances of the modes with eigenvalues lam; psi_x
-    and psi_q hold the mode features at the observations and the queries.
+    For p < k the SVD is taken in full, so V^T is always square; its rows
+    past len(s) span the directions the labels do not see.
     """
-    d_v = d_u * np.exp(-2.0 * lam * t)
-    d_w = d_u * np.exp(-lam * t)
-    cvXX = (psi_x * d_v[None, :]) @ psi_x.T
-    cwQX = (psi_q * d_w[None, :]) @ psi_x.T
-    p = cvXX.shape[0]
-    a = cvXX + sigma**2 * np.eye(p)
-    if sigma < 1e-8:
-        a = a + 1e-12 * (np.trace(cvXX) / p + 1.0) * np.eye(p)
-    try:
-        fac = cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(
-            "observation covariance factorization failed (sigma=%g)" % sigma
-        ) from err
-    mean = cwQX @ cho_solve(fac, y)
-    solved = cho_solve(fac, cwQX.T)
-    variance = (psi_q**2) @ d_u - np.sum(cwQX * solved.T, axis=1)
-    return PosteriorSummary(mean, np.maximum(variance, 0.0))
+    mat = np.asarray(mat, dtype=float)
+    p, k = len(y), len(d_u)
+    if mat.shape != (p, k):
+        raise ValueError("design shape %s does not match %d labels and %d "
+                         "modes" % (mat.shape, p, k))
+    b = mat * (np.sqrt(d_u) / sigma)[None, :]
+    u, s, vt = linalg.svd(b, full_matrices=b.shape[0] < b.shape[1])
+    return s, vt, (u.T @ y) / sigma
+
+
+def coefficient_posterior(mat, d_u, y, sigma):
+    """Mean mu and covariance C of the coefficients given y = M a + noise.
+
+    mat is the p x k design M, d_u the prior variances of the k
+    coefficients, y the p labels and sigma the noise standard deviation.
+    The work is one SVD of a p x k matrix; for p > k nothing p x p is formed.
+    """
+    s, vt, proj = _whitened_svd(mat, d_u, y, sigma)
+    root = np.sqrt(d_u)
+    r = s.shape[0]
+    shrink = np.ones(vt.shape[0])
+    shrink[:r] = 1.0 / (1.0 + s * s)
+    mean = root * (vt[:r].T @ (s * shrink[:r] * proj))
+    factor = vt.T * (root[:, None] * np.sqrt(shrink)[None, :])
+    return mean, factor @ factor.T
+
+
+def _at(features, mean, cov):
+    # mean and rowwise variance of the coefficient posterior at query rows
+    variance = np.sum((features @ cov) * features, axis=1)
+    return PosteriorSummary(features @ mean, np.maximum(variance, 0.0))
+
+
+# Monte Carlo draws per block in predicted_acceptance.
+_BLOCK = 1000
+
+
+def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
+    """Stationary pCN acceptance for the Gaussian posterior of (mat, y).
+
+    The mean over `draws` Monte Carlo pairs of min(1, exp(Phi(a) - Phi(a')))
+    with a ~ N(mu, C) from coefficient_posterior and a' its pCN proposal at
+    step beta.  Both are drawn in the whitened singular coordinates, where
+    the posterior and the proposal are diagonal, so a draw costs O(min(p, k))
+    and no chain or misfit closure is involved.  Its standard error is at
+    most 0.5 / sqrt(draws).
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    s, _, proj = _whitened_svd(mat, d_u, y, sigma)
+    shrink = 1.0 / (1.0 + s * s)
+    rho = np.sqrt(1.0 - beta**2)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    # Phi(w) = |e|^2 / 2 up to a constant, with residual e = proj - s w;
+    # w ~ N(s shrink proj, shrink) gives e ~ N(shrink proj, s^2 shrink), and
+    # the proposal w' = rho w + beta xi has residual
+    # e' = rho e + (1 - rho) proj - beta s xi, formed in e's buffer.  Draws
+    # go in blocks so the buffers stay small next to a chain's samples.
+    for start in range(0, draws, _BLOCK):
+        e = rng.standard_normal((min(_BLOCK, draws - start), s.shape[0]))
+        e *= s * np.sqrt(shrink)
+        e += shrink * proj
+        log_ratio = 0.5 * np.einsum("ij,ij->i", e, e)
+        e *= rho
+        e += (1.0 - rho) * proj
+        xi = rng.standard_normal(e.shape)
+        xi *= -beta * s
+        e += xi
+        log_ratio -= 0.5 * np.einsum("ij,ij->i", e, e)
+        total += float(np.sum(np.exp(np.minimum(log_ratio, 0.0))))
+    return total / draws
 
 
 def graph_posterior(data, basis, spec, t, sigma, cloud=None):
     """Closed-form posterior mean/variance at every node of the graph.
 
-    The observation rows come from the design in `data` (pointwise or
-    ball-average); ball mode needs the cloud to build the averaging operator.
+    The observation rows come from the design in `data`: pointwise rows
+    gather the labeled eigenvector entries, ball rows average them through
+    the sparse observation operator, which needs the cloud.
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
     kern = CovarianceKernels(spec, t, basis)
-    if data.design.mode == "pointwise" and cloud is None:
-        obs_psi = kern.psi[np.array(data.design.labeled)]
+    if data.design.mode == BALL:
+        if cloud is None:
+            raise ValueError("ball observation needs the cloud")
+        rows = observation_matrix(data.design, cloud) @ kern.psi
     else:
-        obs_psi = observation_matrix(data.design, cloud) @ kern.psi
+        rows = kern.psi[list(data.design.labeled)]
     lam = basis.eigenvalues[:kern.d_u.shape[0]]
-    return _kernel_posterior(kern.d_u, lam, t, obs_psi, kern.psi, data.y,
-                             sigma)
+    mean, cov = coefficient_posterior(rows * np.exp(-lam * t)[None, :],
+                                      kern.d_u, data.y, sigma)
+    return _at(kern.psi, mean, cov)
 
 
 def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
     """Closed-form posterior on the sphere, queryable at arbitrary points.
 
-    Pointwise observation only; the kernels are truncated at the basis l_max
+    Pointwise observation only; the prior is truncated at the basis l_max
     and the neglected tail mass is available from the prior module.
     """
     if data.kind != GAUSSIAN:
@@ -113,7 +184,7 @@ def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
     if data.design.mode != "pointwise":
         raise ValueError("continuum posterior supports pointwise observation only")
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
-    psi_x = cont.evaluate(cloud.points[list(data.design.labeled)])
-    psi_q = cont.evaluate(np.atleast_2d(query_points))
-    return _kernel_posterior(d_u, cont.eigenvalues, t, psi_x, psi_q, data.y,
-                             sigma)
+    rows = cont.evaluate(cloud.points[list(data.design.labeled)])
+    mean, cov = coefficient_posterior(
+        rows * np.exp(-cont.eigenvalues * t)[None, :], d_u, data.y, sigma)
+    return _at(cont.evaluate(np.atleast_2d(query_points)), mean, cov)

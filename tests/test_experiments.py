@@ -1,5 +1,6 @@
 """Experiment harness: config handling, outputs, determinism, cleanup."""
 
+import dataclasses
 import json
 import os
 
@@ -267,6 +268,27 @@ def test_sweep_run(tmp_path):
     # per-grid medians in the summary file agree with the raw runs
     accs = [float(r.split(",")[2]) for r in runs[1:] if r.split(",")[1] == "40"]
     assert float(acc[1].split(",")[1]) == pytest.approx(np.median(accs))
+
+
+@pytest.mark.parametrize("kind, beta", [("acceptance-sweep", 0.05),
+                                        ("supervised-sweep", 0.02)])
+def test_sweep_acceptance_matches_prediction(tmp_path, kind, beta):
+    # Each point's measured acceptance lies within Monte Carlo error of the
+    # stationary acceptance predicted from its closed-form posterior.  The
+    # betas put the predictions between 0.3 and 0.5.
+    cfg = toy_cfg(kind, n_grid=(60, 120), replicates=1, iterations=40000,
+                  burn_in=1000, beta=beta)
+    man = json.load(open(run_experiment(cfg, out_dir=str(tmp_path / "g"))))
+    got, want = (man["metrics"][key]
+                 for key in ("acceptance", "predicted_acceptance"))
+    assert set(want) == {"60", "120"}
+    for n in want:
+        assert got[n] == pytest.approx(want[n], abs=0.02)
+    probit = dataclasses.replace(cfg, noise="probit", n_grid=(40,),
+                                 iterations=200, burn_in=50)
+    man = json.load(open(run_experiment(probit,
+                                        out_dir=str(tmp_path / "p"))))
+    assert "predicted_acceptance" not in man["metrics"]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

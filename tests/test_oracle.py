@@ -1,6 +1,9 @@
-"""Closed-form posterior checks, anchored by a fully hand-worked tiny graph."""
+"""Closed-form posterior checks, anchored by a fully hand-worked tiny graph
+and by the p x p kernel formula evaluated in exact rational arithmetic."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +14,9 @@ from graphheat import (
     ObservationDesign,
     PointCloud,
     PriorSpec,
+    SpectralBasis,
     build_eps_graph,
+    coefficient_posterior,
     continuum_posterior,
     design_matrix,
     eigendecompose,
@@ -19,6 +24,7 @@ from graphheat import (
     graph_posterior,
     kernel_weight,
     laplacian,
+    predicted_acceptance,
     sample_sphere,
 )
 from graphheat.oracle import covariance_kernels
@@ -195,3 +201,174 @@ def test_matches_coefficient_space_posterior(sphere120, basis120, t, sigma,
     for got, want in ((post.mean, psi @ mu),
                       (post.variance, np.sum((psi @ cov) * psi, axis=1))):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+# --- the kernel formula in exact arithmetic --------------------------------
+
+
+def exact_solve(a, b):
+    """a^-1 b by Gauss-Jordan elimination over the rationals."""
+    n = len(a)
+    rows = [list(a[i]) + list(b[i]) for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [x - f * z for x, z in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def kernel_reference(rows, queries, d_u, y, sigma):
+    """Mean and covariance at the query features by the p x p kernel formula.
+
+    With c_v = R D R^T + sigma^2 I over the design rows R and the cross
+    covariance c_w = Q D R^T to the query features Q:
+      mean = c_w c_v^-1 y,   cov = Q D Q^T - c_w c_v^-1 c_w^T,
+    evaluated exactly on the rationals the float inputs stand for, so no
+    conditioning limits it however small sigma is.
+    """
+    def exact(a):
+        return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(a)]
+
+    r, q = exact(rows), exact(queries)
+    d = [Fraction(float(v)) for v in d_u]
+    s2 = Fraction(float(sigma)) ** 2
+
+    def dot(a, b):
+        return sum(x * di * z for x, di, z in zip(a, d, b))
+
+    c_v = [[dot(a, b) + (s2 if i == j else 0) for j, b in enumerate(r)]
+           for i, a in enumerate(r)]
+    c_w = [[dot(a, b) for b in r] for a in q]
+    rhs = [[c_w[j][i] for j in range(len(q))] + [Fraction(float(y[i]))]
+           for i in range(len(r))]
+    sol = exact_solve(c_v, rhs)
+    mean = [sum(c_w[j][i] * sol[i][-1] for i in range(len(r)))
+            for j in range(len(q))]
+    cov = [[dot(q[a], q[b]) - sum(c_w[a][i] * sol[i][b] for i in range(len(r)))
+            for b in range(len(q))] for a in range(len(q))]
+    return np.array(mean, dtype=float), np.array(cov, dtype=float)
+
+
+def assert_close(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+SIGMAS = [1e-12, 1e-6, 0.1, 1e6]
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("p", [3, 6, 10])
+def test_coefficient_posterior_matches_exact_kernel_form(p, sigma):
+    # k = 6 modes against fewer, as many and more labels; entries on a
+    # 1/8 grid and dyadic prior variances keep the rationals small.
+    rng = np.random.default_rng(p)
+    k = 6
+    mat = np.round(8 * rng.standard_normal((p, k))) / 8
+    y = np.round(8 * rng.standard_normal(p)) / 8
+    d_u = 2.0 ** -np.arange(k)
+    mean, cov = coefficient_posterior(mat, d_u, y, sigma)
+    want_mean, want_cov = kernel_reference(mat, np.eye(k), d_u, y, sigma)
+    assert_close(mean, want_mean, 1e-12)
+    assert_close(cov, want_cov, 1e-12)
+    assert np.array_equal(cov, cov.T)
+    assert np.min(np.linalg.eigvalsh(cov)) >= -1e-15 * np.max(d_u)
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("p", [4, 9, 12])
+def test_continuum_posterior_matches_exact_kernel_form(p, sigma):
+    # l_max = 2 carries k = 9 harmonics; queries off the labeled points
+    cl = sample_sphere(p + 5, seed=p)
+    cont = ContinuumBasis(2)
+    spec = PriorSpec(alpha=1.0, s=5.0, k_n=None)
+    t = 0.1
+    y = np.random.default_rng(p).standard_normal(p)
+    data = LabeledData(y, first_p_design(p), t, "gaussian", sigma)
+    query = cl.points[p - 2:]
+    post = continuum_posterior(data, cont, spec, t, sigma, query, cl)
+    d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
+    rows = cont.evaluate(cl.points[:p]) * np.exp(-cont.eigenvalues * t)
+    mean, cov = kernel_reference(rows, cont.evaluate(query), d_u, y, sigma)
+    assert_close(post.mean, mean, 1e-12)
+    assert_close(post.variance, np.diag(cov), 1e-12)
+
+
+def test_graph_posterior_memory_is_linear_in_labels():
+    # p = n = 4000: the kernel form held 4000 x 4000 matrices (over 100 MB)
+    n, k = 4000, 16
+    rng = np.random.default_rng(0)
+    vecs = np.linalg.qr(rng.standard_normal((n, k)))[0] * np.sqrt(n)
+    basis = SpectralBasis(np.linspace(0.0, 30.0, k), vecs, "dense", 0.0)
+    spec = PriorSpec(alpha=1.0, s=5.0, k_n=k)
+    data = LabeledData(rng.standard_normal(n), first_p_design(n), 0.1,
+                       "gaussian", 0.1)
+    tracemalloc.start()
+    try:
+        post = graph_posterior(data, basis, spec, 0.1, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert post.mean.shape == (n,)
+    assert peak < 20e6
+
+
+def test_ball_posterior_matches_dense_observation_rows(sphere120, basis120):
+    # The sparse ball operator against rows built from the dense distances
+    spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
+    t, sigma = 0.2, 0.1
+    labeled = (0, 7, 30, 55)
+    delta = 0.45
+    dist = PointCloud(sphere120.points, 2).pairwise_distances()
+    obs = np.zeros((len(labeled), sphere120.n))
+    for row, j in enumerate(labeled):
+        inside = dist[j] <= delta
+        obs[row, inside] = 1.0 / np.count_nonzero(inside)
+    psi = basis120.eigenvectors
+    mat = obs @ psi * np.exp(-basis120.eigenvalues * t)
+    y = np.random.default_rng(8).standard_normal(len(labeled))
+    design = ObservationDesign(labeled, "ball", delta)
+    post = graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
+                           basis120, spec, t, sigma, cloud=sphere120)
+    d_u = spec.coefficient_scales(basis120.eigenvalues) ** 2
+    cov = np.linalg.inv(np.diag(1.0 / d_u) + mat.T @ mat / sigma**2)
+    assert_close(post.mean, psi @ (cov @ mat.T @ y) / sigma**2, 1e-9)
+    assert_close(post.variance, np.sum((psi @ cov) * psi, axis=1), 1e-9)
+    with pytest.raises(ValueError, match="needs the cloud"):
+        graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
+                        basis120, spec, t, sigma)
+
+
+@pytest.mark.parametrize("p", [3, 30])
+def test_predicted_acceptance_matches_direct_draws(p):
+    # Direct Monte Carlo in the original coordinates: a ~ N(mu, C) through
+    # a Cholesky factor, the pCN proposal with the prior scales, and the
+    # misfit as the quadratic form a^T H a / 2 - g^T a.
+    rng = np.random.default_rng(p)
+    k, sigma = 5, 0.5
+    mat = rng.standard_normal((p, k))
+    y = rng.standard_normal(p)
+    d_u = 1.0 / (1.0 + np.arange(k)) ** 2
+    mean, cov = coefficient_posterior(mat, d_u, y, sigma)
+    h = mat.T @ mat / sigma**2
+    g = mat.T @ y / sigma**2
+    draws = 200000
+    a = mean + rng.standard_normal((draws, k)) @ np.linalg.cholesky(cov).T
+    xi = rng.standard_normal((draws, k))
+
+    def misfit(x):
+        return 0.5 * np.einsum("ij,jk,ik->i", x, h, x) - x @ g
+
+    for beta in (0.05, 0.3, 0.9):
+        moved = np.sqrt(1.0 - beta**2) * a + beta * np.sqrt(d_u) * xi
+        direct = np.minimum(1.0, np.exp(misfit(a) - misfit(moved))).mean()
+        got = predicted_acceptance(mat, d_u, y, sigma, beta, draws=draws,
+                                   seed=p)
+        # each estimate has standard error below 0.5 / sqrt(draws)
+        assert got == pytest.approx(direct, abs=0.006)
+    with pytest.raises(ValueError):
+        predicted_acceptance(mat, d_u, y, sigma, 0.0)
