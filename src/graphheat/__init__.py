@@ -63,13 +63,14 @@ from .likelihood import (
     synthesize_data,
 )
 from .sampler import (
+    ChainBatch,
     ChainResult,
     SamplerConfig,
     acceptance_rate,
     integrated_autocorr_time,
     pcn,
     posterior_mean,
-    rwm,
+    stationary_acceptance,
 )
 from .oracle import (
     CovarianceKernels,

@@ -16,14 +16,18 @@ All result files are byte-deterministic for a given config.  The manifest
 additionally records wall time and library versions, so only the manifest
 differs between identical runs.  Its metrics also name, per cloud size n,
 the eigensolver behind the bases (``eigensolver``) and their largest
-relative residual (``eigen_residual``).  Gaussian acceptance sweeps record,
-next to the measured acceptance, the stationary acceptance predicted from
-the closed-form posterior (``predicted_acceptance``).
+relative residual (``eigen_residual``).  Chain runs record, next to the
+measured acceptance (burn-in included), the acceptance after burn-in
+(``stationary_acceptance``); Gaussian acceptance sweeps also record the
+stationary acceptance predicted from the closed-form posterior
+(``predicted_acceptance``).
 
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
-``_basis``.  Pipeline functions are called through the names this module
-imports, because ``bench/tracing.py`` rebinds them here to trace them.
+``_basis``.  The acceptance and supervised sweeps build all their points
+first and then run the chains in lockstep, one ``pcn`` call per distinct k.
+Pipeline functions are called through the names this module imports,
+because ``bench/tracing.py`` rebinds them here to trace them.
 """
 
 import dataclasses
@@ -50,6 +54,7 @@ from .sampler import (
     integrated_autocorr_time,
     pcn,
     posterior_mean,
+    stationary_acceptance,
 )
 from .spectral import ContinuumBasis, eigendecompose, spectral_error
 
@@ -323,10 +328,11 @@ def _problem(cfg, n, replicate, p=None):
     return cl, basis, spec, data
 
 
-def _posterior_chain(cfg, n, p, replicate):
-    """Build one posterior end to end and run its pCN chain.
+def _chain_problem(cfg, n, p, replicate):
+    """Build one posterior end to end, up to its pCN chain.
 
-    Returns the problem, the design matrix and the chain.
+    Returns the problem, the design matrix, the misfit potential and the
+    chain's config.
     """
     cl, basis, spec, data = _problem(cfg, n, replicate, p)
     mat = design_matrix(basis, cfg.t, data.design, cl)
@@ -335,8 +341,7 @@ def _posterior_chain(cfg, n, p, replicate):
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
                        burn_in=cfg.burn_in, thinning=cfg.thinning,
                        seed=900 + cfg.seed + replicate)
-    chain = pcn(basis, spec, phi, sc)
-    return cl, basis, spec, data, mat, chain
+    return cl, basis, spec, data, mat, phi, sc
 
 
 def _eigensolver_metrics(bases):
@@ -351,22 +356,47 @@ def _eigensolver_metrics(bases):
     return {"eigensolver": solver, "eigen_residual": residual}
 
 
-def _sweep_point(cfg, n, replicate):
-    p = n if cfg.kind == "supervised-sweep" else cfg.p
-    _, basis, spec, data, mat, chain = _posterior_chain(cfg, n, p, replicate)
-    trace = chain.samples @ basis.eigenvectors[0, :]
-    predicted = None
-    if cfg.noise == "gaussian":
-        predicted = predicted_acceptance(
-            mat, spec.truncated_scales(basis) ** 2, data.y, cfg.sigma,
-            cfg.beta, seed=chain.config.seed)
-    return {
-        "acceptance": acceptance_rate(chain),
-        "predicted": predicted,
-        "iact": integrated_autocorr_time(trace),
-        "solver": basis.solver,
-        "residual": basis.residual,
-    }
+def _sweep_points(cfg, pairs):
+    """Chain diagnostics of the sweep points (n, replicate) in pairs, in order.
+
+    Every problem is built first, keeping only what its chain and the
+    diagnostics read.  Then the chains run in lockstep, one pcn call per
+    distinct k, each keeping the trace of its state at node 1.
+    """
+    problems = []
+    for n, replicate in pairs:
+        p = n if cfg.kind == "supervised-sweep" else cfg.p
+        _, basis, spec, data, mat, phi, sc = _chain_problem(cfg, n, p,
+                                                            replicate)
+        predicted = None
+        if cfg.noise == "gaussian":
+            predicted = predicted_acceptance(
+                mat, spec.truncated_scales(basis) ** 2, data.y, cfg.sigma,
+                cfg.beta, seed=sc.seed)
+        problems.append((basis, spec, phi, sc, predicted))
+    groups = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(problem[0].count, []).append(i)
+    values = [None] * len(problems)
+    for members in groups.values():
+        bases, specs, phis, configs, _ = zip(*(problems[i] for i in members))
+        batch = pcn(bases, specs, phis, configs,
+                    readout=[b.eigenvectors[0, :] for b in bases])
+        for i, chain in zip(members, batch):
+            basis, predicted = problems[i][0], problems[i][4]
+            values[i] = {
+                "acceptance": acceptance_rate(chain),
+                "stationary": stationary_acceptance(chain),
+                "predicted": predicted,
+                "iact": integrated_autocorr_time(chain.trace),
+                "solver": basis.solver,
+                "residual": basis.residual,
+            }
+    return values
+
+
+def _compare_points(cfg, pairs):
+    return [_compare_point(cfg, n, replicate) for n, replicate in pairs]
 
 
 def _compare_point(cfg, n, replicate):
@@ -397,25 +427,35 @@ def _seed_record(cfg, n, replicate):
 
 # Top level so a process pool can pickle it.
 def _grid_worker(args):
-    point, cfg_json, n, replicate = args
-    return point(ExperimentConfig.from_json(cfg_json), n, replicate)
+    points, cfg_json, pairs = args
+    return points(ExperimentConfig.from_json(cfg_json), pairs)
 
 
-def _run_grid(cfg, jobs, point):
-    """point(cfg, n, r) over cfg.n_grid x replicates, in `jobs` processes.
+def _run_grid(cfg, jobs, points, lockstep=False):
+    """points(cfg, pairs) over cfg.n_grid x replicates, in `jobs` processes.
 
-    Returns the results keyed by (n, r), the seed records in grid order and
-    the eigensolver metrics of the points' bases.
+    points maps a list of (n, r) pairs to their results, in order.  With
+    lockstep, each worker takes one contiguous group of pairs, so that its
+    chains run together; otherwise each pair is a task of its own.  Returns
+    the results keyed by (n, r), the seed records in grid order and the
+    eigensolver metrics of the points' bases.
     """
     pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
     if jobs <= 1 or len(pairs) <= 1:
-        values = [point(cfg, n, r) for n, r in pairs]
+        values = points(cfg, pairs)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(point, cfg.to_json(), n, r) for n, r in pairs]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pairs))) as pool:
-            values = list(pool.map(_grid_worker, args))
+        workers = min(jobs, len(pairs))
+        if lockstep:
+            cuts = [len(pairs) * i // workers for i in range(workers + 1)]
+            tasks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+        else:
+            tasks = [[pair] for pair in pairs]
+        args = [(points, cfg.to_json(), task) for task in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = [v for part in pool.map(_grid_worker, args)
+                      for v in part]
     seeds = [_seed_record(cfg, n, r) for n, r in pairs]
     solver = _eigensolver_metrics((n, v["solver"], v["residual"])
                                   for (n, _), v in zip(pairs, values))
@@ -554,11 +594,13 @@ def _run_regularity(cfg, jobs):
 
 
 def _run_posterior(cfg, jobs):
-    cl, basis, spec, data, _, chain = _posterior_chain(cfg, cfg.n, cfg.p, 0)
+    cl, basis, spec, data, _, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
+    chain = pcn(basis, spec, phi, sc)
     mean_fn = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
     metrics = {
         "acceptance": acceptance_rate(chain),
+        "stationary_acceptance": stationary_acceptance(chain),
         "iact_u_x1": integrated_autocorr_time(trace),
     }
     metrics.update(_eigensolver_metrics([(cfg.n, basis.solver,
@@ -588,7 +630,8 @@ def _run_posterior(cfg, jobs):
 
 
 def _run_sweep(cfg, jobs):
-    results, seeds, solver = _run_grid(cfg, jobs, _sweep_point)
+    results, seeds, solver = _run_grid(cfg, jobs, _sweep_points,
+                                       lockstep=True)
     run_rows, acc_rows, iact_rows = [], [], []
     acc_med, iact_med = {}, {}
     for n in cfg.n_grid:
@@ -612,7 +655,12 @@ def _run_sweep(cfg, jobs):
         "n", "acceptance",
         [("", [float(n) for n, _ in acc_rows], [a for _, a in acc_rows])])
     metrics = {"acceptance": {str(n): acc_med[n] for n in cfg.n_grid},
-               "iact": {str(n): iact_med[n] for n in cfg.n_grid}}
+               "iact": {str(n): iact_med[n] for n in cfg.n_grid},
+               # post-burn-in acceptance, median over replicates
+               "stationary_acceptance": {
+                   str(n): float(np.median([results[(n, r)]["stationary"]
+                                            for r in range(cfg.replicates)]))
+                   for n in cfg.n_grid}}
     if cfg.noise == "gaussian":
         # Stationary acceptance of the closed-form posterior, median over
         # replicates like the measured one.
@@ -625,7 +673,7 @@ def _run_sweep(cfg, jobs):
 
 
 def _run_compare(cfg, jobs):
-    results, seeds, solver = _run_grid(cfg, jobs, _compare_point)
+    results, seeds, solver = _run_grid(cfg, jobs, _compare_points)
     dist = {key: v["distance"] for key, v in results.items()}
     rows = [(r, n, dist[(n, r)])
             for n in cfg.n_grid for r in range(cfg.replicates)]

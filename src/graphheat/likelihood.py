@@ -75,7 +75,8 @@ def potential_from_design_matrix(mat, data, model):
 
     mat is the p x k design matrix of G, one row per label.  Gaussian noise
     gives a^T (H/2) a - g^T a + c with H = M^T M / sigma^2, g = M^T y / sigma^2
-    and c = |y|^2 / (2 sigma^2), so a call costs O(k^2), not O(pk).
+    and c = |y|^2 / (2 sigma^2), so a call costs O(k^2), not O(pk).  Probit
+    noise evaluates the p margins in one buffer, so no call allocates.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != data.y.shape[0]:
@@ -94,9 +95,14 @@ def potential_from_design_matrix(mat, data, model):
         return phi
 
     y_over_sigma = data.y / model.sigma
+    w = np.empty(mat.shape[0])
 
     def phi(a):
-        return float(-np.sum(log_ndtr(y_over_sigma * (mat @ a))))
+        # -sum(log_ndtr(y/sigma * (M a))), formed in one buffer
+        np.dot(mat, a, out=w)
+        np.multiply(w, y_over_sigma, out=w)
+        log_ndtr(w, out=w)
+        return -float(w.sum())
 
     return phi
 

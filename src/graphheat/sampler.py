@@ -4,16 +4,24 @@ The state is the vector of k_n coefficients; the pCN proposal is
 a -> sqrt(1 - beta^2) a + beta * scale * xi with scale_i = (alpha+lambda_i)^(-s/4),
 which equals the function-space proposal sqrt(1-beta^2) u + beta zeta because
 the prior is diagonal in the eigenbasis.  Acceptance depends only on the
-misfit potential.  A prior-preconditioned random-walk baseline and an
-initial-monotone-sequence autocorrelation estimator round out the module.
+misfit potential.  An initial-monotone-sequence autocorrelation estimator
+rounds out the module.
+
+One kernel advances C chains in lockstep: three ufuncs over (C, k) arrays
+form every chain's proposal and one ``np.log`` takes the logs of their C
+uniforms, while each chain calls its own potential and accepts or rejects on
+its own.  A single chain is the case C = 1.
 
 Stream contract: each step draws k standard normals, then one uniform, from
 the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
-chain bit for bit.  The log of the uniform is taken with ``np.log`` on
-purpose: ``math.log`` differs from it in the last bit on some uniforms,
-which can flip an acceptance and change every later state.
+chain bit for bit, whether it runs alone or in lockstep with others.  The log
+of the uniform is taken with ``np.log`` on purpose: ``math.log`` differs from
+it in the last bit on some uniforms, which can flip an acceptance and change
+every later state.  ``np.log`` over the C uniforms gives each the bits of
+``np.log`` on it alone.
 """
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -23,6 +31,12 @@ import numpy as np
 from .prior import CloudFunction
 
 logger = logging.getLogger(__name__)
+
+# Kept states per chain between readout products.  A product over a block
+# that starts at a multiple of 2048 rows gives each row the bits of the same
+# row in one product over all kept states; a block of a single row would be
+# a dot product instead, so a one-row tail joins the block before it.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -52,71 +66,150 @@ class SamplerConfig:
 
 
 class ChainResult:
-    """Retained samples plus the acceptance ledger and potential trace.
+    """Retained states or their readout, the acceptance ledger, potentials.
 
     Attributes
     ----------
-    samples : (n_retained, k) array
-        Post burn-in states, thinned.
+    samples : (n_retained, k) array, or None
+        Post burn-in states, thinned; None when the chain kept a readout.
+    trace : (n_retained,) array, or None
+        state @ readout at the same steps; None when the chain kept states.
     accepted, proposed : int
         Acceptance ledger over all iterations.
+    stationary_accepted : int
+        Accepts among the proposed - burn_in steps after burn-in.
     potentials : (iterations,) array
         Potential of the state after each iteration.
     """
 
-    def __init__(self, samples, accepted, proposed, potentials, config):
+    def __init__(self, samples, accepted, proposed, potentials, config,
+                 stationary_accepted=0, trace=None):
         self.samples = samples
+        self.trace = trace
         self.accepted = int(accepted)
         self.proposed = int(proposed)
+        self.stationary_accepted = int(stationary_accepted)
         self.potentials = potentials
         self.config = config
 
     @property
     def n_retained(self):
-        return self.samples.shape[0]
+        kept = self.samples if self.samples is not None else self.trace
+        return kept.shape[0]
 
 
-def _run_chain(scales, potential, config, propose):
-    """The one chain loop behind pcn and rwm; the loop allocates no arrays.
+class ChainBatch(tuple):
+    """The ChainResults of chains run in lockstep, in input order.
 
-    propose(state, xi, cand) writes the candidate into cand (it may
-    overwrite xi) and returns the log of any extra acceptance factor.
+    ``accepted`` and ``proposed`` total the ledgers of its chains.
     """
-    k = scales.shape[0]
-    rng = np.random.default_rng(config.seed)
-    state = np.zeros(k)
-    phi = potential(state)
-    if not math.isfinite(phi):
-        raise ValueError("potential is not finite at the zero initial state")
-    kept = range(config.burn_in, config.iterations, config.thinning)
-    samples = np.empty((len(kept), k))
-    potentials = np.empty(config.iterations)
-    cand = np.empty(k)
-    xi = np.empty(k)
-    accepted = 0
-    row = 0
-    warned = False
+
+    @property
+    def accepted(self):
+        return sum(chain.accepted for chain in self)
+
+    @property
+    def proposed(self):
+        return sum(chain.proposed for chain in self)
+
+
+def _lockstep(bases, prior_specs, potentials, configs, readouts):
+    """Advance len(potentials) pCN chains together.
+
+    Returns one ChainResult per chain, each equal bit for bit to the chain
+    run alone.  Per step the loop allocates only the C logs of the
+    uniforms.
+    """
+    chains = len(potentials)
+    if chains == 0:
+        raise ValueError("need at least one chain")
+    if not (len(bases) == len(prior_specs) == len(configs) == chains
+            and (readouts is None or len(readouts) == chains)):
+        raise ValueError("need one basis, prior spec, config and readout "
+                         "per potential")
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config
+           for c in configs):
+        raise ValueError("lockstep chains must share every config field "
+                         "but the seed")
+    scales = [spec.truncated_scales(basis)
+              for basis, spec in zip(bases, prior_specs)]
+    if len({s.shape for s in scales}) != 1:
+        raise ValueError("lockstep chains must share the truncation k")
+    k = scales[0].shape[0]
+    beta_scales = config.beta * np.array(scales)
+    contraction = np.sqrt(1.0 - config.beta**2)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    normals = [rng.standard_normal for rng in rngs]
+    randoms = [rng.random for rng in rngs]
+    seeds = [c.seed for c in configs]
+    state = np.zeros((chains, k))
+    cand = np.empty((chains, k))
+    xi = np.empty((chains, k))
+    states, cands, xis = list(state), list(cand), list(xi)
+    phi = [potential(a) for potential, a in zip(potentials, states)]
+    for c in range(chains):
+        if not math.isfinite(phi[c]):
+            raise ValueError("potential is not finite at the zero initial "
+                             "state (chain seed %d)" % seeds[c])
+    burn_in = config.burn_in
+    kept = range(burn_in, config.iterations, config.thinning)
+    n_kept = len(kept)
+    if readouts is None:
+        ends = [n_kept]
+        block = np.empty((chains, n_kept, k))
+    else:
+        ends = list(range(_BLOCK, n_kept, _BLOCK)) + [n_kept]
+        if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+            del ends[-2]
+        block = np.empty((chains, min(n_kept, _BLOCK + 1), k))
+        traces = [np.empty(n_kept) for _ in range(chains)]
+    ends = iter(ends)
+    row, start, end = 0, 0, next(ends)
+    log = np.empty((chains, config.iterations))
+    logs = list(log)
+    uniforms = np.empty(chains)
+    accepted = [0] * chains
+    before = None            # accepts before burn-in, copied at that step
+    warned = [False] * chains
+    order = range(chains)
     for j in range(config.iterations):
-        rng.standard_normal(out=xi)
-        log_u = np.log(rng.random())
-        log_extra = propose(state, xi, cand)
-        phi_cand = potential(cand)
-        if not math.isfinite(phi_cand):
-            if not warned:
-                logger.warning("non-finite potential at a proposal; auto-rejected")
-                warned = True
-        elif log_u <= phi - phi_cand + log_extra:
-            state, cand = cand, state
-            phi = phi_cand
-            accepted += 1
-        potentials[j] = phi
+        if j == burn_in:
+            before = accepted[:]
+        for c in order:
+            normals[c](out=xis[c])
+            uniforms[c] = randoms[c]()
+        log_u = np.log(uniforms).tolist()
+        np.multiply(xi, beta_scales, xi)
+        np.multiply(state, contraction, cand)
+        np.add(cand, xi, cand)
+        for c in order:
+            phi_cand = potentials[c](cands[c])
+            if not math.isfinite(phi_cand):
+                if not warned[c]:
+                    logger.warning("chain seed %d: non-finite potential at a "
+                                   "proposal; auto-rejected", seeds[c])
+                    warned[c] = True
+            elif log_u[c] <= phi[c] - phi_cand:
+                states[c][:] = cands[c]
+                phi[c] = phi_cand
+                accepted[c] += 1
+            logs[c][j] = phi[c]
         if j in kept:
-            samples[row] = state
+            block[:, row - start] = state
             row += 1
-    return ChainResult(samples, accepted, config.iterations, potentials, config)
+            if row == end and readouts is not None:
+                for c in order:
+                    traces[c][start:end] = block[c, :end - start] @ readouts[c]
+                start, end = end, next(ends, None)
+    return [ChainResult(block[c] if readouts is None else None, accepted[c],
+                        config.iterations, log[c], configs[c],
+                        stationary_accepted=accepted[c] - before[c],
+                        trace=None if readouts is None else traces[c])
+            for c in order]
 
 
-def pcn(basis, prior_spec, potential, config):
+def pcn(basis, prior_spec, potential, config, readout=None):
     """Run the graph pCN chain; the prior is exactly preserved when Phi == 0.
 
     Parameters
@@ -127,42 +220,33 @@ def pcn(basis, prior_spec, potential, config):
         float.  It is called on a buffer the chain reuses, so it must not
         keep its argument.
     config : SamplerConfig
+    readout : optional (k,) vector.  Given, the chain keeps
+        ``trace = samples @ readout``, bit for bit, instead of ``samples``.
+
+    Returns a ChainResult.  To run C chains in lockstep, pass basis,
+    prior_spec, potential, config and readout (if any) as sequences of C
+    entries, one per chain; the chains must share k and every config field
+    but the seed.  That returns a ChainBatch whose chains equal the same
+    chains run alone, bit for bit.
     """
-    scales = prior_spec.truncated_scales(basis)
-    contraction = np.sqrt(1.0 - config.beta**2)
-    beta_scales = config.beta * scales
-
-    def propose(state, xi, cand):
-        np.multiply(xi, beta_scales, xi)
-        np.multiply(state, contraction, cand)
-        np.add(cand, xi, cand)
-        return 0.0
-
-    return _run_chain(scales, potential, config, propose)
-
-
-def rwm(basis, prior_spec, potential, config, step):
-    """Random-walk Metropolis baseline with prior-preconditioned steps.
-
-    Proposal a + step * scale * xi; the acceptance ratio carries the prior
-    density ratio, unlike pCN.
-    """
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    scales = prior_spec.truncated_scales(basis)
-    safe = np.where(scales > 0, scales, 1.0)
-    step_scales = step * scales
-
-    def propose(state, xi, cand):
-        np.multiply(xi, step_scales, xi)
-        np.add(state, xi, cand)
-        return 0.5 * (np.sum((state / safe) ** 2) - np.sum((cand / safe) ** 2))
-
-    return _run_chain(scales, potential, config, propose)
+    if callable(potential):
+        return _lockstep([basis], [prior_spec], [potential], [config],
+                         None if readout is None else [readout])[0]
+    return ChainBatch(_lockstep(basis, prior_spec, potential, config, readout))
 
 
 def acceptance_rate(chain):
+    """Accepted fraction of every proposal, burn-in included."""
     return chain.accepted / chain.proposed
+
+
+def stationary_acceptance(chain):
+    """Accepted fraction of the proposals after burn-in.
+
+    The chain starts at the prior mean, and its transient accepts more often
+    than the stationary chain; this rate leaves the transient out.
+    """
+    return chain.stationary_accepted / (chain.proposed - chain.config.burn_in)
 
 
 def posterior_mean(chain, basis):

@@ -9,6 +9,7 @@ import pytest
 
 import graphheat.experiments as ex
 from graphheat import (
+    ChainBatch,
     ContinuumBasis,
     DEFAULT_TRUTH,
     ExperimentConfig,
@@ -289,6 +290,106 @@ def test_sweep_acceptance_matches_prediction(tmp_path, kind, beta):
     man = json.load(open(run_experiment(probit,
                                         out_dir=str(tmp_path / "p"))))
     assert "predicted_acceptance" not in man["metrics"]
+
+
+@pytest.mark.parametrize("kind, beta", [("acceptance-sweep", 0.05),
+                                        ("supervised-sweep", 0.02)])
+def test_sweep_stationary_acceptance_matches_prediction(tmp_path, kind, beta):
+    # The post-burn-in acceptance is the stationary chain's, which the
+    # closed-form posterior predicts.
+    cfg = toy_cfg(kind, n_grid=(60, 120), replicates=2, iterations=20000,
+                  burn_in=2000, beta=beta)
+    man = json.load(open(run_experiment(cfg, out_dir=str(tmp_path))))
+    got, want = (man["metrics"][key]
+                 for key in ("stationary_acceptance", "predicted_acceptance"))
+    assert set(got) == set(want) == {"60", "120"}
+    for n in want:
+        assert got[n] == pytest.approx(want[n], abs=0.02)
+
+
+def test_posterior_records_stationary_acceptance(tmp_path):
+    man = json.load(open(run_experiment(toy_cfg("posterior"),
+                                        out_dir=str(tmp_path))))
+    assert 0.0 < man["metrics"]["stationary_acceptance"] <= 1.0
+
+
+# k_n="auto" at this bandwidth gives k = 3, 3, 4, 4 over the grid.
+AUTO_SWEEP = dict(k_n="auto", eps_multiplier=0.7, n_grid=(40, 60, 80, 120))
+
+
+def test_auto_sweep_runs_each_k_in_lockstep_as_if_alone(tmp_path,
+                                                       monkeypatch):
+    groups = []
+    lockstep = ex.pcn
+
+    def recording(bases, specs, phis, configs, readout):
+        groups.append(([b.count for b in bases], [c.seed for c in configs]))
+        return lockstep(bases, specs, phis, configs, readout=readout)
+
+    def one_by_one(bases, specs, phis, configs, readout):
+        chains = []
+        for args, vector in zip(zip(bases, specs, phis, configs), readout):
+            chain = lockstep(*args)
+            chain.trace = chain.samples @ vector
+            chains.append(chain)
+        return ChainBatch(chains)
+
+    # These small-bandwidth graphs have many components, and the
+    # eigensolver's basis of a degenerate null space varies from call to
+    # call, so both runs share each point's basis.
+    built = {}
+    basis = ex._basis
+
+    def shared(cfg, cl, k, eps_multiplier=None):
+        key = (cl.n, cl.seed, k)
+        if key not in built:
+            built[key] = basis(cfg, cl, k, eps_multiplier)
+        return built[key]
+
+    monkeypatch.setattr(ex, "_basis", shared)
+    cfg = toy_cfg("acceptance-sweep", **AUTO_SWEEP)
+    monkeypatch.setattr(ex, "pcn", recording)
+    together, man = run_outputs(cfg, tmp_path / "together")
+    assert groups == [([3] * 4, [900, 901, 900, 901]),
+                      ([4] * 4, [900, 901, 900, 901])]
+    monkeypatch.setattr(ex, "pcn", one_by_one)
+    alone, man_alone = run_outputs(cfg, tmp_path / "alone")
+    assert together == alone
+    assert man == man_alone
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("acceptance-sweep", {}), ("supervised-sweep", {}),
+    ("acceptance-sweep", AUTO_SWEEP)], ids=["acceptance", "supervised",
+                                             "auto-k"])
+def test_sweeps_keep_the_tracing_contract(tmp_path, monkeypatch, kind, extra):
+    # The benchmark tracer wraps these two names as below.  It expects one
+    # potential call per chain step plus one per chain at the zero start,
+    # and reads the step count from the proposed total of what pcn returns.
+    counts = {"calls": 0, "proposed": 0}
+    factory, run = ex.potential_from_design_matrix, ex.pcn
+
+    def counted_factory(*args, **kwargs):
+        phi = factory(*args, **kwargs)
+
+        def counted(a):
+            counts["calls"] += 1
+            return phi(a)
+
+        return counted
+
+    def counted_pcn(*args, **kwargs):
+        result = run(*args, **kwargs)
+        counts["proposed"] += result.proposed
+        return result
+
+    monkeypatch.setattr(ex, "potential_from_design_matrix", counted_factory)
+    monkeypatch.setattr(ex, "pcn", counted_pcn)
+    cfg = toy_cfg(kind, **extra)
+    run_experiment(cfg, out_dir=str(tmp_path))
+    chains = len(cfg.n_grid) * cfg.replicates
+    assert counts["proposed"] == chains * cfg.iterations
+    assert counts["calls"] == counts["proposed"] + chains
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

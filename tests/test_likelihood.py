@@ -110,6 +110,24 @@ def test_design_matrix_must_match_labels(kind, shape):
         potential_from_design_matrix(np.ones(shape), data, model)
 
 
+@pytest.mark.parametrize("p, k", [(1, 1), (7, 3), (300, 16), (1000, 13)])
+def test_probit_closure_matches_the_direct_formula_exactly(p, k):
+    # The closure forms its margins in one reused buffer; every call must
+    # give the bits of the allocating formula, also on a row view.
+    from scipy.special import log_ndtr
+
+    rng = np.random.default_rng(p + k)
+    mat = rng.standard_normal((p, k))
+    y = np.where(rng.standard_normal(p) >= 0.0, 1.0, -1.0)
+    sigma = 0.3
+    phi = potential_from_design_matrix(mat, probit_data(y, sigma),
+                                       NoiseModel("probit", sigma))
+    states = 3.0 * rng.standard_normal((6, k))
+    for a in list(states) + [states[0].copy()]:
+        want = float(-np.sum(log_ndtr(y / sigma * (mat @ a))))
+        assert phi(a) == want
+
+
 def test_synthesize_gaussian_continuum():
     cl = sample_sphere(50, seed=2)
     cont = ContinuumBasis(2)

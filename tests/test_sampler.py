@@ -1,5 +1,6 @@
 """Chain mechanics, exactness on conjugate targets, and the IACT estimator."""
 
+import dataclasses
 import logging
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphheat import (
+    ChainBatch,
     LabeledData,
     NoiseModel,
     PriorSpec,
@@ -17,7 +19,7 @@ from graphheat import (
     pcn,
     posterior_mean,
     potential_from_design_matrix,
-    rwm,
+    stationary_acceptance,
 )
 
 ZERO_POTENTIAL = lambda a: 0.0
@@ -152,19 +154,6 @@ def reference_pcn(beta):
     return proposal
 
 
-def reference_rwm(step, scales):
-    safe = np.where(scales > 0, scales, 1.0)
-
-    def proposal(state, xi, sc):
-        cand = state + step * sc * xi
-        log_prior_ratio = 0.5 * (
-            np.sum((state / safe) ** 2) - np.sum((cand / safe) ** 2)
-        )
-        return cand, log_prior_ratio
-
-    return proposal
-
-
 def gaussian_design_problem(k, p, sigma, seed):
     """Random p x k design, labels, and the closure the chains use."""
     rng = np.random.default_rng(seed)
@@ -193,7 +182,7 @@ REFERENCE_BASIS = FlatBasis(4, eigenvalues=[0.0, 2.0, 2.0, 6.0])
 REFERENCE_SPEC = PriorSpec(alpha=1.0, s=5.0)
 
 
-@pytest.mark.parametrize("sampler", ["pcn", "rwm"])
+@pytest.mark.parametrize("sampler", ["pcn"])
 @pytest.mark.parametrize("target", ["design", "non-finite"])
 def test_kernel_reproduces_reference_loop(sampler, target):
     cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, thinning=3,
@@ -206,12 +195,8 @@ def test_kernel_reproduces_reference_loop(sampler, target):
     else:
         fast = slow = finite_near_zero
         c = 0.0
-    if sampler == "pcn":
-        chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg)
-        proposal = reference_pcn(cfg.beta)
-    else:
-        chain = rwm(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg, step=0.7)
-        proposal = reference_rwm(0.7, scales)
+    chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg)
+    proposal = reference_pcn(cfg.beta)
     samples, accepted, potentials = reference_chain(scales, slow, cfg, proposal)
     assert 0 < accepted < cfg.iterations
     assert chain.samples.shape == samples.shape == (834, 4)
@@ -220,6 +205,90 @@ def test_kernel_reproduces_reference_loop(sampler, target):
     assert chain.proposed == cfg.iterations
     assert np.all(np.abs(chain.potentials - potentials)
                   <= 1e-12 * (c + potentials))
+
+
+def probit_design_potential(k, p, sigma, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((p, k))
+    y = np.where(rng.standard_normal(p) >= 0.0, 1.0, -1.0)
+    data = LabeledData(y, first_p_design(p), 0.0, "probit", sigma)
+    return potential_from_design_matrix(mat, data,
+                                        NoiseModel("probit", sigma))
+
+
+def test_lockstep_chains_match_each_chain_alone(caplog):
+    # Chains of three kinds, each on its own seed and prior scales: a
+    # Gaussian design chain, a probit design chain and two chains whose
+    # potential is infinite away from zero.  In lockstep every chain is
+    # bit-identical to itself run alone.  4097 kept states leave a one-row
+    # tail after a full readout block; with these readouts a product over
+    # that row alone differs in the last bit for three of the chains.
+    cfg = SamplerConfig(beta=0.3, iterations=4597, burn_in=500)
+    potentials = [gaussian_design_problem(4, 12, 0.4, seed=12)[2],
+                  probit_design_potential(4, 9, 0.5, seed=16),
+                  finite_near_zero, finite_near_zero]
+    bases = [REFERENCE_BASIS, FlatBasis(4, eigenvalues=[0.0, 1.0, 3.0, 5.0]),
+             FlatBasis(4, eigenvalues=[0.5, 0.5, 4.0, 9.0]), REFERENCE_BASIS]
+    specs = [REFERENCE_SPEC] * 4
+    configs = [dataclasses.replace(cfg, seed=s) for s in (31, 32, 33, 34)]
+    readouts = list(np.random.default_rng(22).standard_normal((4, 4)))
+
+    def auto_rejects():
+        found = [r.getMessage() for r in caplog.records
+                 if "auto-rejected" in r.getMessage()]
+        caplog.clear()
+        return sorted(found)
+
+    with caplog.at_level(logging.WARNING):
+        alone = [pcn(*args) for args in zip(bases, specs, potentials,
+                                            configs)]
+        warned_alone = auto_rejects()
+        states = pcn(bases, specs, potentials, configs)
+        assert auto_rejects() == warned_alone
+        traces = pcn(bases, specs, potentials, configs, readout=readouts)
+        assert auto_rejects() == warned_alone
+    assert [w.split(":")[0] for w in warned_alone] == ["chain seed 33",
+                                                       "chain seed 34"]
+    for batch in (states, traces):
+        assert isinstance(batch, ChainBatch) and len(batch) == 4
+        assert batch.proposed == 4 * cfg.iterations
+        assert batch.accepted == sum(chain.accepted for chain in alone)
+    for i, single in enumerate(alone):
+        assert 0 < single.accepted < cfg.iterations
+        assert single.samples.shape == (4097, 4)
+        for chain in (states[i], traces[i]):
+            assert chain.accepted == single.accepted
+            assert chain.stationary_accepted == single.stationary_accepted
+            assert np.array_equal(chain.potentials, single.potentials)
+        assert np.array_equal(states[i].samples, single.samples)
+        assert traces[i].samples is None
+        assert np.array_equal(traces[i].trace, single.samples @ readouts[i])
+
+
+def test_lockstep_refuses_mismatched_chains():
+    phi = [ZERO_POTENTIAL] * 2
+    cfg = SamplerConfig(beta=0.5, iterations=10)
+    with pytest.raises(ValueError, match="share the truncation k"):
+        pcn([FlatBasis(2), FlatBasis(3)], [SPEC] * 2, phi, [cfg] * 2)
+    with pytest.raises(ValueError, match="every config field but the seed"):
+        pcn([FlatBasis(2)] * 2, [SPEC] * 2, phi,
+            [cfg, dataclasses.replace(cfg, beta=0.4)])
+    with pytest.raises(ValueError, match="one basis, prior spec"):
+        pcn([FlatBasis(2)], [SPEC] * 2, phi, [cfg] * 2)
+
+
+def test_stationary_acceptance_counts_after_burn_in():
+    # The first burn_in steps of a chain are a shorter chain on the same
+    # stream, so the accepts after burn-in are the total less its accepts.
+    phi = gaussian_design_problem(4, 12, 0.4, seed=12)[2]
+    cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, seed=11)
+    chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg)
+    prefix = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi,
+                 dataclasses.replace(cfg, iterations=500, burn_in=0))
+    assert 0 < prefix.accepted < chain.accepted
+    assert prefix.stationary_accepted == prefix.accepted
+    assert chain.stationary_accepted == chain.accepted - prefix.accepted
+    assert stationary_acceptance(chain) == chain.stationary_accepted / 2500
 
 
 def test_pcn_acceptance_matches_stationary_prediction():
@@ -262,17 +331,6 @@ def test_pcn_hits_conjugate_posterior():
     mean, var = conjugate_posterior_stats()
     assert chain.samples[:, 0].mean() == pytest.approx(mean, abs=0.04)
     assert chain.samples[:, 0].var() == pytest.approx(var, rel=0.12)
-
-
-def test_rwm_hits_conjugate_posterior():
-    phi = lambda a: 0.5 * float((1.0 - a[0]) ** 2)
-    cfg = SamplerConfig(beta=0.5, iterations=60000, burn_in=5000, seed=6)
-    chain = rwm(FlatBasis(1), SPEC, phi, cfg, step=1.0)
-    mean, var = conjugate_posterior_stats()
-    assert chain.samples[:, 0].mean() == pytest.approx(mean, abs=0.04)
-    assert chain.samples[:, 0].var() == pytest.approx(var, rel=0.12)
-    with pytest.raises(ValueError):
-        rwm(FlatBasis(1), SPEC, phi, cfg, step=-1.0)
 
 
 def test_posterior_mean_and_averages():
