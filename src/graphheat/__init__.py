@@ -1,9 +1,9 @@
 """Graph-based Bayesian semi-supervised learning on manifold point clouds.
 
-Pipeline: sample or load a point cloud, build an epsilon-graph and its
-Laplacian, truncate the spectrum, place a Gaussian series prior on the
-retained eigenvectors, push it through a heat-equation forward map, observe
-a few labels, and sample the posterior with pCN.  For Gaussian noise the
+Pipeline: sample a point cloud, build an epsilon-graph and its Laplacian,
+truncate the spectrum, place a Gaussian series prior on the retained
+eigenvectors, push it through a heat-equation forward map, observe a few
+labels, and sample the posterior with pCN.  For Gaussian noise the
 posterior is also available in closed form, which the sampler is checked
 against.  The experiments module wraps the recurring studies behind JSON
 configs and a CLI.
@@ -11,7 +11,7 @@ configs and a CLI.
 
 __version__ = "0.1.0"
 
-from .cloud import PointCloud, knn, load_csv, sample_sphere, save_csv
+from .cloud import PointCloud, sample_sphere
 from .graph import (
     GeometricGraph,
     GraphLaplacian,
@@ -26,8 +26,6 @@ from .spectral import (
     ContinuumBasis,
     SpectralBasis,
     eigendecompose,
-    sphere_eigenvalue,
-    sphere_harmonic,
     spectral_error,
 )
 from .prior import (
@@ -35,13 +33,8 @@ from .prior import (
     CloudFunction,
     PriorSpec,
     default_truncation,
-    dirichlet_energy_identity_factor,
-    hs_seminorm,
-    kl_tail_mass,
     oscillation,
-    p_laplacian_energy,
     regularity_experiment,
-    sample_continuum_prior,
     sample_graph_prior,
 )
 from .forward import (
@@ -54,10 +47,8 @@ from .forward import (
     observe_continuum,
 )
 from .likelihood import (
-    AssumptionReport,
     LabeledData,
     NoiseModel,
-    check_assumptions,
     potential,
     potential_from_design_matrix,
     synthesize_data,

@@ -48,6 +48,8 @@ def _resolve_out(cfg, override):
 
 
 def _cmd_run(args):
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     cfg = _load_config(args.config, args.seed)
     if cfg is None:
         return 2

@@ -1,4 +1,4 @@
-"""Point clouds on embedded manifolds: sampling, neighbor queries, CSV round trips.
+"""Point clouds on embedded manifolds: sampling and neighbour queries.
 
 A cloud is an immutable n x d coordinate array together with the intrinsic
 dimension m of the manifold the points are assumed to lie on.  All distances
@@ -144,16 +144,6 @@ def sample_sphere(n, seed):
     return PointCloud(pts / norms[:, None], intrinsic_dim=2, seed=seed)
 
 
-def knn(cloud, query, k):
-    """Indices of the k nearest cloud points to an ambient query point.
-
-    Distances are ambient Euclidean; ties are broken by lower index.
-    """
-    if np.shape(query) != (cloud.d,):
-        raise ValueError("query must be one point in R^%d" % cloud.d)
-    return _nearest_indices(cloud, query, k)[0]
-
-
 # Tree candidates per query beyond the k asked for.  A row is settled when
 # the k-th re-ranked distance is clearly below the farthest candidate's, so
 # a few spare candidates settle rows with near-ties and duplicated points.
@@ -161,7 +151,7 @@ _SPARE_CANDIDATES = 4
 
 
 def _nearest_indices(cloud, queries, k):
-    """knn for a batch: row i holds the k nearest indices to queries[i].
+    """The k nearest cloud points to each query: row i holds their indices.
 
     Equal to the dense ``np.argsort(d2, kind="stable")[:, :k]`` of the
     squared distances ``d2 = np.sum((q - p) ** 2)``: ties go to the lower
@@ -191,53 +181,3 @@ def _nearest_indices(cloud, queries, k):
             d2_row = np.sum((q[row] - cloud.points) ** 2, axis=1)
             nearest[row] = np.argsort(d2_row, kind="stable")[:k]
     return nearest
-
-
-def save_csv(cloud, path):
-    """Write a cloud to CSV: header line `# d=<d> m=<m>`, then one point per row.
-
-    Coordinates are printed with 17 significant digits so the round trip
-    through load_csv is exact.
-    """
-    with open(path, "w") as fh:
-        fh.write("# d=%d m=%d\n" % (cloud.d, cloud.intrinsic_dim))
-        for row in cloud.points:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def load_csv(path):
-    """Read a cloud written by save_csv; malformed input errors name the line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("%s: empty file, not a point cloud" % path)
-    header = lines[0].strip()
-    if not header.startswith("#"):
-        raise ValueError("%s: line 1: missing `# d=<d> m=<m>` header" % path)
-    fields = dict()
-    for tok in header.lstrip("#").split():
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            fields[key] = val
-    try:
-        d = int(fields["d"])
-        m = int(fields["m"])
-    except (KeyError, ValueError):
-        raise ValueError("%s: line 1: header must declare integer d and m" % path)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        toks = line.split(",")
-        if len(toks) != d:
-            raise ValueError(
-                "%s: line %d: expected %d coordinates, got %d"
-                % (path, lineno, d, len(toks))
-            )
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError:
-            raise ValueError("%s: line %d: non-numeric coordinate" % (path, lineno))
-    if not rows:
-        raise ValueError("%s: no data rows" % path)
-    return PointCloud(np.array(rows), intrinsic_dim=m)

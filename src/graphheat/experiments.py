@@ -47,7 +47,8 @@ from .graph import build_eps_graph, default_eps, laplacian, sphere_calibration
 from .interpolate import knn_interpolate, sphere_mc_grid, l2_distance
 from .likelihood import NoiseModel, potential_from_design_matrix, synthesize_data
 from .oracle import continuum_posterior, graph_posterior, predicted_acceptance
-from .prior import PriorSpec, regularity_experiment, sample_graph_prior
+from .prior import (PriorSpec, default_truncation, regularity_experiment,
+                    sample_graph_prior)
 from .sampler import (
     SamplerConfig,
     acceptance_rate,
@@ -85,7 +86,7 @@ DEFAULT_TRUTH = (
 DEFAULT_N_GRID = (300, 600, 900, 1200, 1500, 2000)
 
 # Field types that validate_config checks before any value.
-_INTS = ("n", "p", "m", "iterations", "burn_in", "thinning", "seed",
+_INTS = ("n", "p", "iterations", "burn_in", "thinning", "seed",
          "replicates", "l_max", "draws", "grid_size", "knn_k")
 _NUMBERS = ("eps_multiplier", "alpha", "s", "t", "sigma", "beta")
 _LISTS = ("n_grid", "eps_multipliers", "s_grid")
@@ -97,7 +98,6 @@ class ExperimentConfig:
     n: int = 1000
     n_grid: tuple = DEFAULT_N_GRID
     p: int = 200
-    m: int = 2
     eps_multiplier: float = 2.0
     eps_multipliers: tuple = (1.0, 2.0, 3.0)
     alpha: float = 1.0
@@ -135,6 +135,10 @@ class ExperimentConfig:
         schema = d.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ValueError("unsupported config schema %r" % (schema,))
+        # older manifests echo m, the intrinsic dimension of the sphere
+        m = d.pop("m", 2)
+        if not (_is(m, numbers.Integral) and m == 2):
+            raise ValueError("m: must be 2 (the sphere), got %r" % (m,))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -181,14 +185,16 @@ def validate_config(cfg):
         errs.append("n: every cloud size must be at least 2")
     elif cfg.kind == "posterior" and cfg.n < 4:
         errs.append("n: the k=4 push-forward needs at least 4 points")
-    if cfg.m != 2:
-        errs.append("m: must be 2, the intrinsic dimension of the sphere "
-                    "every experiment samples")
     if cfg.eps_multiplier <= 0:
         errs.append("eps_multiplier: must be positive")
     if cfg.kind == "spectra" and (not cfg.eps_multipliers
                                   or any(x <= 0 for x in cfg.eps_multipliers)):
         errs.append("eps_multipliers: need a nonempty list of positive values")
+    elif cfg.kind == "spectra":
+        labels = ["%g" % x for x in cfg.eps_multipliers]
+        if len(set(labels)) < len(labels):
+            errs.append("eps_multipliers: each needs its own %%g label, which "
+                        "names its output file (got %s)" % ", ".join(labels))
     if cfg.alpha < 0:
         errs.append("alpha: must be nonnegative")
     elif cfg.alpha == 0 and cfg.kind != "spectra":
@@ -197,8 +203,8 @@ def validate_config(cfg):
     needs_prior = cfg.kind in ("posterior", "acceptance-sweep",
                                "supervised-sweep", "oracle-compare",
                                "prior-sample")
-    if needs_prior and cfg.s <= cfg.m:
-        errs.append("s: must exceed the intrinsic dimension m=%d" % cfg.m)
+    if needs_prior and cfg.s <= 2:
+        errs.append("s: must exceed the intrinsic dimension m=2 of the sphere")
     if cfg.k_n != "auto" and (not _is(cfg.k_n, int) or cfg.k_n < 1):
         errs.append('k_n: must be a positive integer or "auto"')
     chain = cfg.kind in ("posterior", "acceptance-sweep", "supervised-sweep")
@@ -285,19 +291,19 @@ def _cloud(cfg, n, replicate):
 
 
 def _basis(cfg, cl, k, eps_multiplier=None):
-    eps = default_eps(cl.n, cfg.m, eps_multiplier or cfg.eps_multiplier)
+    eps = default_eps(cl.n, cl.intrinsic_dim,
+                      eps_multiplier or cfg.eps_multiplier)
     g = build_eps_graph(cl, eps)
     lap = laplacian(g, calibration=_calibration(cfg, cl.n))
     return eigendecompose(lap, k), eps
 
 
-def _truncation(cfg, n):
+def _truncation(cfg, cl):
     if cfg.k_n == "auto":
-        from .prior import default_truncation
-
-        return default_truncation(n, default_eps(n, cfg.m, cfg.eps_multiplier),
-                                  cfg.m)
-    return min(int(cfg.k_n), n)
+        m = cl.intrinsic_dim
+        return default_truncation(
+            cl.n, default_eps(cl.n, m, cfg.eps_multiplier), m)
+    return min(int(cfg.k_n), cl.n)
 
 
 def truth_coefficients(cont):
@@ -315,9 +321,9 @@ def _problem(cfg, n, replicate, p=None):
     cloud points; otherwise the labels are None.
     """
     cl = _cloud(cfg, n, replicate)
-    kn = _truncation(cfg, n)
+    kn = _truncation(cfg, cl)
     basis, _ = _basis(cfg, cl, kn)
-    spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cfg.m)
+    spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cl.intrinsic_dim)
     data = None
     if p is not None:
         cont = ContinuumBasis(cfg.l_max)

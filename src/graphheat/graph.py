@@ -74,10 +74,6 @@ class GeometricGraph:
         self.weight_value = kernel_weight(cloud.n, cloud.intrinsic_dim, eps)
         self.n_components = int(n_components)
 
-    @property
-    def connected(self):
-        return self.n_components == 1
-
 
 def kernel_weight(n, m, eps):
     """Common edge weight (m+2) / (n^2 * alpha_m * eps^(m+2))."""
@@ -128,9 +124,6 @@ class GraphLaplacian:
     def dense(self):
         a = self.matrix.toarray()
         return 0.5 * (a + a.T)  # symmetrize away roundoff
-
-    def apply(self, u):
-        return self.matrix @ u
 
 
 def laplacian(graph, calibration=1.0):

@@ -1,4 +1,4 @@
-"""Noise models, misfit potentials, data synthesis, and growth-condition checks.
+"""Noise models, misfit potentials and data synthesis.
 
 Two observation models:
   gaussian  phi(w) = |y - w|^2 / (2 sigma^2)
@@ -126,49 +126,3 @@ def synthesize_data(u_truth, carrier, t, design, cloud, model, seed):
     else:
         y = np.where(noisy >= 0.0, 1.0, -1.0)
     return LabeledData(y, design, float(t), model.kind, model.sigma, seed)
-
-
-@dataclass
-class AssumptionReport:
-    """Numeric evidence for the growth conditions the sampler theory assumes.
-
-    part1_c: the smallest observed phi(v) - phi(w) over proposal-coupled pairs
-    |w - sqrt(1-beta^2) v| <= K (finite c is the requirement).  part2_L: the
-    largest observed ratio |phi(v1)-phi(v2)| / (max(|v1|,|v2|,1)|v1-v2|).
-    violations collects non-finite evaluations.
-    """
-
-    part1_c: float
-    part2_L: float
-    samples: int
-    violations: int
-
-
-def check_assumptions(data, model, beta, k_bound=5.0, v_scale=5.0,
-                      samples=2000, seed=0):
-    """Randomized-grid check of the local-Lipschitz growth conditions."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    p = data.design.p
-    contraction = np.sqrt(1.0 - beta**2)
-    part1 = np.inf
-    part2 = 0.0
-    violations = 0
-    for _ in range(samples):
-        v = v_scale * rng.standard_normal(p)
-        shift = rng.standard_normal(p)
-        shift *= rng.uniform(0.0, k_bound) / max(np.linalg.norm(shift), 1e-300)
-        w = contraction * v + shift
-        pv, pw = potential(v, data, model), potential(w, data, model)
-        if not (np.isfinite(pv) and np.isfinite(pw)):
-            violations += 1
-            continue
-        part1 = min(part1, pv - pw)
-        v2 = v_scale * rng.standard_normal(p)
-        pv2 = potential(v2, data, model)
-        gap = np.linalg.norm(v - v2)
-        if gap > 1e-12 and np.isfinite(pv2):
-            grow = max(np.linalg.norm(v), np.linalg.norm(v2), 1.0)
-            part2 = max(part2, abs(pv - pv2) / (grow * gap))
-    return AssumptionReport(float(part1), float(part2), samples, violations)

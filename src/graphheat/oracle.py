@@ -176,8 +176,7 @@ def graph_posterior(data, basis, spec, t, sigma, cloud=None):
 def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
     """Closed-form posterior on the sphere, queryable at arbitrary points.
 
-    Pointwise observation only; the prior is truncated at the basis l_max
-    and the neglected tail mass is available from the prior module.
+    Pointwise observation only; the prior is truncated at the basis l_max.
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")

@@ -1,12 +1,11 @@
 """Truncated Gaussian priors in the Laplacian eigenbasis and regularity diagnostics.
 
 A prior draw is u = sum_{i<k_n} (alpha + lambda_i)^(-s/4) xi_i psi_i with
-i.i.d. standard normal xi.  The same construction runs on graph bases and on
-the sphere harmonic basis.  Diagnostics: the H^s seminorm, the oscillation
-statistic over closed eps-balls, and the graph p-Laplacian energy.  The two
-ball diagnostics run over the cloud's cached CSR ball lists
-(``PointCloud.eps_balls``), built once per (cloud, eps), so each call costs
-O(number of ball entries) rather than O(n^2).
+i.i.d. standard normal xi.  The regularity diagnostic is the oscillation
+statistic over closed eps-balls of draws normalized to unit H^s seminorm.
+It runs over the cloud's cached CSR ball lists (``PointCloud.eps_balls``),
+built once per (cloud, eps), so each call costs O(number of ball entries)
+rather than O(n^2).
 """
 
 import math
@@ -14,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import unit_ball_volume
-
 UNTRUNCATED = None  # sentinel for k_n = n
 
 # Consecutive redraws of one regularity draw (seminorm below 1e-14) before
 # the study gives up on that s.
 MAX_REDRAWS = 100
-
-# Head terms of kl_tail_mass summed per block, so memory stays bounded.
-_TAIL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -32,15 +26,14 @@ class PriorSpec:
 
     alpha >= 0 shifts the spectrum; s is the smoothness exponent and must
     exceed the intrinsic dimension m; k_n is the truncation level, or
-    UNTRUNCATED (None) for the full basis.  exclude_constant drops the
-    zero-eigenvalue mode, the only way to allow alpha = 0.
+    UNTRUNCATED (None) for the full basis.  alpha = 0 is refused on a
+    spectrum with a zero eigenvalue, whose constant mode it makes singular.
     """
 
     alpha: float
     s: float
     k_n: int = UNTRUNCATED
     m: int = 2
-    exclude_constant: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -66,16 +59,10 @@ class PriorSpec:
     def coefficient_scales(self, eigenvalues):
         """Standard deviations (alpha + lambda_i)^(-s/4) per retained mode."""
         lam = np.asarray(eigenvalues, dtype=float)
-        if self.alpha == 0 and lam[0] < 1e-14 and not self.exclude_constant:
-            raise ValueError(
-                "alpha=0 with a zero eigenvalue makes the constant mode "
-                "singular; set exclude_constant=True to drop it"
-            )
-        with np.errstate(divide="ignore"):
-            scales = (self.alpha + lam) ** (-self.s / 4.0)
-        if self.exclude_constant:
-            scales[lam < 1e-14] = 0.0
-        return scales
+        if self.alpha == 0 and lam[0] < 1e-14:
+            raise ValueError("alpha=0 with a zero eigenvalue makes the "
+                             "constant mode singular; alpha must be positive")
+        return (self.alpha + lam) ** (-self.s / 4.0)
 
     def truncated_scales(self, basis):
         """coefficient_scales of the first truncation(basis.count) modes."""
@@ -125,42 +112,6 @@ def sample_graph_prior(basis, spec, seed):
     return CloudFunction.from_coefficients(basis, coeffs)
 
 
-def sample_continuum_prior(cont, spec, seed):
-    """Harmonic coefficients of one sphere prior draw up to degree l_max."""
-    scales = spec.coefficient_scales(cont.eigenvalues)
-    rng = np.random.default_rng(seed)
-    return scales * rng.standard_normal(cont.count)
-
-
-def kl_tail_mass(spec, l_max, rel_tol=1e-12):
-    """Truncated-series tail sum_{l > l_max} (2l+1)(alpha + l(l+1))^(-s/2).
-
-    With g(l) = alpha + l(l+1) the summand is g'(l) g(l)^(-s/2), so the terms
-    past L sum to about g(L+1/2)^(1-s/2) / (s/2-1), the integral from L+1/2
-    on (midpoint rule).  That remainder errs by about (2+3s) g(L+1/2)^(-s/2)
-    / 24 or less, so L is the first l >= l_max where this falls below rel_tol
-    times the first tail term, and the terms up to L are summed exactly.
-    The series diverges for s <= 2.
-    """
-    half = spec.s / 2.0
-    if half <= 1.0:
-        raise ValueError("s=%g: the tail series diverges for s <= 2" % spec.s)
-    first = l_max + 1
-    g_first = spec.alpha + first * (first + 1.0)
-    log_g = (math.log((2.0 + 6.0 * half) / (24.0 * rel_tol * (2 * first + 1)))
-             / half + math.log(g_first))
-    # g(x) = alpha + x(x+1) reaches exp(log_g) at x
-    x = 0.5 * (math.sqrt(1.0 + 4.0 * max(math.exp(log_g) - spec.alpha, 0.0))
-               - 1.0)
-    last = max(l_max, math.ceil(x - 0.5))
-    head = 0.0
-    for lo in range(first, last + 1, _TAIL_BLOCK):
-        l = np.arange(lo, min(lo + _TAIL_BLOCK, last + 1), dtype=float)
-        head += float(np.sum((2 * l + 1) * (spec.alpha + l * (l + 1)) ** -half))
-    g_rest = spec.alpha + (last + 0.5) * (last + 1.5)
-    return head + g_rest ** (1.0 - half) / (half - 1.0)
-
-
 def _coefficients(u, basis):
     if u.coefficients is not None and u.basis is basis:
         return u.coefficients
@@ -170,11 +121,6 @@ def _coefficients(u, basis):
 def _seminorm(eigenvalues, coeffs, s):
     lam = eigenvalues[: coeffs.shape[0]]
     return float(np.sum(lam**s * coeffs**2))
-
-
-def hs_seminorm(u, basis, s):
-    """Sobolev-type seminorm sum_i lambda_i^s <u, psi_i>^2 over retained modes."""
-    return _seminorm(basis.eigenvalues, _coefficients(u, basis), s)
 
 
 def _nodal_values(u, cloud):
@@ -202,28 +148,6 @@ def oscillation(u, cloud, eps):
     starts = indptr[:-1]
     osc = np.maximum.reduceat(ball, starts) - np.minimum.reduceat(ball, starts)
     return osc, float(osc.max())
-
-
-def p_laplacian_energy(u, cloud, eps, p_exp):
-    """Graph p-Laplacian energy E(u) = (1/(n^2 eps^p)) sum_{i,j} K(d_ij/eps)|u_i-u_j|^p.
-
-    The sum runs over all ordered pairs with the indicator kernel K; the i=j
-    terms vanish.  For p=2 this equals (2 alpha_m eps^m / (m+2)) times the
-    Euclidean Dirichlet form of the eps-graph Laplacian.
-    """
-    if p_exp <= 1:
-        raise ValueError("p_exp must be > 1")
-    values = _nodal_values(u, cloud)
-    indptr, indices = cloud.eps_balls(eps)
-    diffs = np.abs(np.repeat(values, np.diff(indptr)) - values[indices])
-    total = np.sum(diffs**p_exp)
-    n = cloud.n
-    return float(total / (n * n * eps**p_exp))
-
-
-def dirichlet_energy_identity_factor(m, eps):
-    """Factor relating the p=2 energy to the Euclidean Dirichlet form."""
-    return 2.0 * unit_ball_volume(m) * eps**m / (m + 2)
 
 
 def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):

@@ -120,13 +120,6 @@ def eigendecompose(lap, k):
     return SpectralBasis(vals, vecs, solver, residual)
 
 
-def sphere_eigenvalue(l):
-    """Laplace-Beltrami eigenvalue and multiplicity on S^2: (l(l+1), 2l+1)."""
-    if l < 0:
-        raise ValueError("degree l must be >= 0")
-    return float(l * (l + 1)), 2 * l + 1
-
-
 def _harmonic_norm(l, order):
     m = abs(order)
     if m == 0:
@@ -148,22 +141,6 @@ def _check_on_sphere(pts):
     norms = np.linalg.norm(pts, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("point not on the unit sphere (|norm - 1| > 1e-9)")
-
-
-def sphere_harmonic(l, order, point):
-    """Real spherical harmonic at a unit 3-vector, unit norm in L^2(gamma).
-
-    gamma is the uniform probability measure, so these are the standard
-    orthonormal harmonics scaled by sqrt(4*pi); the degree-0 function is
-    identically 1.
-    """
-    if abs(order) > l:
-        raise ValueError("|order| must be <= l")
-    pt = np.asarray(point, dtype=float)
-    _check_on_sphere(pt)
-    z = np.clip(pt[..., 2], -1.0, 1.0)
-    phi = np.arctan2(pt[..., 1], pt[..., 0])
-    return float(_eval_harmonic(l, order, z, phi))
 
 
 class ContinuumBasis:

@@ -83,6 +83,16 @@ def test_run_refuses_invalid(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_changes_results(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -83,9 +83,9 @@ def test_validate_field_errors(tmp_path):
            thinning=40), "iterations"),
         (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
         (C(kind="posterior", n=3, p=2), "n"),
-        # every cloud is a sphere sample, of intrinsic dimension 2
-        (C(kind="spectra", n=60, m=3), "m"),
-        (C(kind="spectra", n=60, m=1), "m"),
+        # both would write spectra_eps2.csv
+        (C(kind="spectra", n=60, eps_multipliers=(2.0, 2.0000001)),
+         "eps_multipliers"),
         # wrongly typed fields, as a JSON config can give them
         (C(kind="spectra", n=3.5), "n"),
         (C(kind="spectra", seed="a"), "seed"),
@@ -102,6 +102,20 @@ def test_validate_field_errors(tmp_path):
         with pytest.raises(ValueError, match="invalid config"):
             run_experiment(cfg, out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []
+
+
+def test_manifest_with_the_old_m_field(tmp_path):
+    # manifests once echoed m, the sphere's intrinsic dimension 2
+    files, man = run_outputs(toy_cfg("spectra"), tmp_path / "a")
+    old = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    old["config"]["m"] = 2
+    cfg = ExperimentConfig.from_json(json.dumps(old))
+    assert cfg == toy_cfg("spectra")
+    assert run_outputs(cfg, tmp_path / "b") == (files, man)
+    for m in (3, 1, 2.0, True, "2"):
+        old["config"]["m"] = m
+        with pytest.raises(ValueError, match="^m: "):
+            ExperimentConfig.from_json(json.dumps(old))
 
 
 def test_catalog_covers_all_kinds():

@@ -8,7 +8,6 @@ from graphheat import (
     ContinuumBasis,
     LabeledData,
     NoiseModel,
-    check_assumptions,
     first_p_design,
     potential,
     potential_from_design_matrix,
@@ -162,15 +161,3 @@ def test_synthesize_graph_carrier(basis120, sphere120):
     with pytest.raises(ValueError, match="carrier"):
         synthesize_data(u, basis120, 0.0, first_p_design(15), sphere120,
                         model, seed=6)
-
-
-def test_check_assumptions_report():
-    data = gaussian_data([0.5, -0.2, 1.0], sigma=0.7)
-    model = NoiseModel("gaussian", 0.7)
-    report = check_assumptions(data, model, beta=0.3, samples=500, seed=4)
-    assert report.samples == 500
-    assert report.violations == 0
-    assert np.isfinite(report.part1_c)
-    assert report.part2_L > 0
-    with pytest.raises(ValueError):
-        check_assumptions(data, model, beta=0.0)

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -11,22 +10,17 @@ from graphheat import (
     PriorSpec,
     UNTRUNCATED,
     default_truncation,
-    dirichlet_energy_identity_factor,
-    hs_seminorm,
-    kl_tail_mass,
     laplacian,
     build_eps_graph,
     default_eps,
     eigendecompose,
     oscillation,
-    p_laplacian_energy,
     regularity_experiment,
-    sample_continuum_prior,
     sample_graph_prior,
     sample_sphere,
     sphere_calibration,
 )
-from graphheat.spectral import ContinuumBasis
+from graphheat.prior import _seminorm
 
 
 def test_spec_rejects_rough_prior():
@@ -54,12 +48,8 @@ def test_coefficient_scales_formula():
 
 def test_alpha_zero_needs_constant_excluded():
     spec = PriorSpec(alpha=0.0, s=5.0, k_n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha"):
         spec.coefficient_scales(np.array([0.0, 2.0]))
-    ok = PriorSpec(alpha=0.0, s=5.0, k_n=3, exclude_constant=True)
-    scales = ok.coefficient_scales(np.array([0.0, 2.0]))
-    assert scales[0] == 0.0
-    assert scales[1] == pytest.approx(2.0 ** (-1.25))
 
 
 def test_default_truncation_hand_value():
@@ -83,60 +73,20 @@ def test_sample_graph_prior_deterministic(basis120):
     assert np.allclose(a.values, basis120.synthesize(a.coefficients))
 
 
-def test_sample_continuum_prior_scales():
-    cont = ContinuumBasis(4)
-    spec = PriorSpec(alpha=1.0, s=6.0, k_n=UNTRUNCATED)
-    draws = np.stack(
-        [sample_continuum_prior(cont, spec, seed=s) for s in range(2000)]
-    )
-    var = draws.var(axis=0)
-    target = (1.0 + cont.eigenvalues) ** (-3.0)
-    assert np.allclose(var, target, rtol=0.15)
-
-
-def test_kl_tail_mass_against_direct_sum():
-    spec = PriorSpec(alpha=1.0, s=5.0, k_n=UNTRUNCATED)
-    # independent reference: vectorized partial sum far past convergence
-    l = np.arange(4, 10**6, dtype=float)
-    direct = float(np.sum((2 * l + 1) * (spec.alpha + l * (l + 1)) ** (-2.5)))
-    assert kl_tail_mass(spec, 3) == pytest.approx(direct, rel=1e-6)
-    assert kl_tail_mass(spec, 6) < kl_tail_mass(spec, 3)
-
-
-def test_kl_tail_mass_telescoping_case():
-    # alpha = 0, s = 4: (2l+1)/(l(l+1))^2 = 1/l^2 - 1/(l+1)^2, so the tail
-    # past l_max is exactly 1/(l_max+1)^2
-    spec = PriorSpec(alpha=0.0, s=4.0, exclude_constant=True)
-    for l_max in range(11):
-        assert kl_tail_mass(spec, l_max) == pytest.approx(
-            1.0 / (l_max + 1) ** 2, rel=1e-12, abs=0.0)
-
-
-def test_kl_tail_mass_divergent_and_slow_series():
-    for s in (2.0, 1.5):
-        with pytest.raises(ValueError, match="s="):
-            kl_tail_mass(PriorSpec(alpha=1.0, s=s, m=1), 6)
-    # near s = 2 the terms fall so slowly that summing until one is small
-    # would take about 10^10 of them
-    spec = PriorSpec(alpha=1.0, s=2.05)
-    start = time.perf_counter()
-    tail = kl_tail_mass(spec, 6)
-    assert time.perf_counter() - start < 1.0
-    l = np.arange(7, 10**5, dtype=float)
-    assert tail > np.sum((2 * l + 1) * (1.0 + l * (l + 1)) ** -1.025)
-
-
 def test_hs_seminorm_single_mode(basis120):
     u = CloudFunction.from_coefficients(
         basis120, np.eye(basis120.count)[3] * 2.0
     )
     lam = basis120.eigenvalues[3]
-    assert hs_seminorm(u, basis120, 4.0) == pytest.approx(4.0 * lam**4, rel=1e-10)
+    assert _seminorm(basis120.eigenvalues, u.coefficients, 4.0) == \
+        pytest.approx(4.0 * lam**4, rel=1e-10)
 
 
 def test_hs_seminorm_ignores_constant(basis120):
     u = CloudFunction(np.full(120, 9.0))
-    assert hs_seminorm(u, basis120, 3.0) == pytest.approx(0.0, abs=1e-16)
+    coeffs = basis120.project(u.values)
+    assert _seminorm(basis120.eigenvalues, coeffs, 3.0) == \
+        pytest.approx(0.0, abs=1e-16)
 
 
 def test_oscillation_hand_case():
@@ -162,13 +112,6 @@ def _dense_oscillation(values, cloud, eps):
     return hi - lo
 
 
-def _dense_p_laplacian(values, cloud, eps, p_exp):
-    mask = cloud.pairwise_distances() <= eps
-    diffs = np.abs(values[:, None] - values[None, :])
-    total = np.sum(np.where(mask, diffs**p_exp, 0.0))
-    return total / (cloud.n**2 * eps**p_exp)
-
-
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_ball_diagnostics_match_dense_reference(seed, d):
     rng = np.random.default_rng(seed)
@@ -184,9 +127,6 @@ def test_ball_diagnostics_match_dense_reference(seed, d):
         assert np.array_equal(per_point, reference)
         assert worst == reference.max()
         assert per_point[30] == 0.0
-        assert p_laplacian_energy(u, cl, eps, 3) == pytest.approx(
-            _dense_p_laplacian(u, cl, eps, 3), rel=1e-12
-        )
     indptr, indices = cl.eps_balls(boundary)
     assert list(indices[indptr[30]:]) == [30]
     assert j in indices[indptr[i]:indptr[i + 1]]
@@ -204,29 +144,6 @@ def test_eps_balls_cached_per_eps(sphere120):
         cl.eps_balls(0.0)
     with pytest.raises(ValueError):
         oscillation(np.zeros(119), cl, 0.4)
-
-
-def test_p_laplacian_hand_value():
-    # two points distance 1, eps=1.5, u=(0,2), p=3:
-    # (1/(n^2 eps^3)) * 2 * |2|^3 = 16 / (4 * 3.375)
-    cl = PointCloud([[0.0, 0.0], [1.0, 0.0]], 1)
-    e = p_laplacian_energy(np.array([0.0, 2.0]), cl, 1.5, 3)
-    assert e == pytest.approx(16.0 / 13.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        p_laplacian_energy(np.array([0.0, 2.0]), cl, 1.5, 1.0)
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_p2_energy_matches_dirichlet_form(seed):
-    rng = np.random.default_rng(seed)
-    cl = PointCloud(rng.standard_normal((30, 3)), 2)
-    g = build_eps_graph(cl, 1.2)
-    u = rng.standard_normal(30)
-    quad = float(u @ laplacian(g).apply(u))
-    factor = dirichlet_energy_identity_factor(2, 1.2)
-    assert p_laplacian_energy(u, cl, 1.2, 2) == pytest.approx(
-        factor * quad, rel=1e-10, abs=1e-12
-    )
 
 
 def test_regularity_experiment_smoke(basis120, sphere120):

@@ -24,8 +24,6 @@ from graphheat import (
     sample_sphere,
     spectral_error,
     sphere_calibration,
-    sphere_eigenvalue,
-    sphere_harmonic,
 )
 from graphheat.spectral import _fix_signs
 
@@ -71,40 +69,40 @@ def test_project_synthesize_round_trip(basis120):
     assert np.allclose(basis120.project(u), coeffs, atol=1e-10)
 
 
-def test_sphere_eigenvalue():
-    assert sphere_eigenvalue(0) == (0.0, 1)
-    assert sphere_eigenvalue(1) == (2.0, 3)
-    assert sphere_eigenvalue(3) == (12.0, 7)
+def harmonic(l, order, point):
+    # the real spherical harmonic psi_{l,order} at one point
+    cont = ContinuumBasis(l)
+    return cont.evaluate(point)[0, cont.labels.index((l, order))]
 
 
 def test_harmonics_hand_values():
     north = [0.0, 0.0, 1.0]
-    assert sphere_harmonic(0, 0, north) == pytest.approx(1.0)
+    assert harmonic(0, 0, north) == pytest.approx(1.0)
     # zonal harmonics at the pole: sqrt(2l+1) P_l(1) = sqrt(2l+1)
-    assert sphere_harmonic(1, 0, north) == pytest.approx(math.sqrt(3.0))
-    assert sphere_harmonic(2, 0, north) == pytest.approx(math.sqrt(5.0))
+    assert harmonic(1, 0, north) == pytest.approx(math.sqrt(3.0))
+    assert harmonic(2, 0, north) == pytest.approx(math.sqrt(5.0))
     # degree-1 sectoral harmonics are +-sqrt(3) x and +-sqrt(3) y
-    assert abs(sphere_harmonic(1, 1, [1.0, 0.0, 0.0])) == pytest.approx(
+    assert abs(harmonic(1, 1, [1.0, 0.0, 0.0])) == pytest.approx(
         math.sqrt(3.0)
     )
-    assert abs(sphere_harmonic(1, -1, [0.0, 1.0, 0.0])) == pytest.approx(
+    assert abs(harmonic(1, -1, [0.0, 1.0, 0.0])) == pytest.approx(
         math.sqrt(3.0)
     )
 
 
 def test_harmonics_reject_off_sphere():
     with pytest.raises(ValueError):
-        sphere_harmonic(1, 0, [0.0, 0.0, 2.0])
+        ContinuumBasis(1).evaluate([0.0, 0.0, 2.0])
 
 
 def test_addition_theorem():
     # sum_m psi_{l,m}(x)^2 = 2l+1 at every point
     pts = sample_sphere(25, seed=11).points
+    cont = ContinuumBasis(4)
+    values = cont.evaluate(pts)
+    degrees = np.array([l for l, _ in cont.labels])
     for l in range(5):
-        total = sum(
-            np.array([sphere_harmonic(l, m, p) for p in pts]) ** 2
-            for m in range(-l, l + 1)
-        )
+        total = np.sum(values[:, degrees == l] ** 2, axis=1)
         assert np.allclose(total, 2 * l + 1, rtol=1e-10)
 
 
