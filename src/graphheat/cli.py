@@ -4,7 +4,7 @@ Subcommands: ``run`` executes a JSON config and writes CSV results, SVG
 quick-looks and a manifest; ``validate`` checks a config without running
 anything; ``list-experiments`` prints the catalog.  A manifest written by
 ``run`` is itself a valid ``--config`` argument, which reproduces the
-result files byte for byte.
+result files byte for byte at the same BLAS thread count.
 
 Relative output directories are placed under $GRAPHHEAT_RESULTS when that
 variable is set.

@@ -7,27 +7,31 @@ the graph-versus-continuum consistency trend, and plain prior draws.
 
 Seed conventions, shared by every kind so runs are comparable: replicate r
 of a config with base seed ``seed`` uses cloud seed 100+seed+r, data-noise
-seed 500+seed+r, chain seed 900+seed+r, and prior-draw seed 700+seed+r.
-Point clouds sampled at different n with the same seed are nested (the
-smaller cloud is a prefix of the larger), so sweep points at a fixed
-replicate share geometry and, when the labeled set is a prefix, share data.
+seed 500+seed+r and chain seed 900+seed+r (``_seed_record``).  Prior draw j
+uses seed 700+seed+j; regularity redraws start at 700+seed+draws+1.  Clouds
+sampled at different n with the same seed are nested (the smaller is a
+prefix of the larger), so sweep points at a fixed replicate share geometry
+and, when the labeled set is a prefix, share data.
 
-All result files are byte-deterministic for a given config.  The manifest
-additionally records wall time and library versions, so only the manifest
-differs between identical runs.  Its metrics also name, per cloud size n,
-the eigensolver behind the bases (``eigensolver``) and their largest
-relative residual (``eigen_residual``).  Chain runs record, next to the
-measured acceptance (burn-in included), the acceptance after burn-in
-(``stationary_acceptance``); Gaussian acceptance sweeps also record the
-stationary acceptance predicted from the closed-form posterior
-(``predicted_acceptance``).
+All result files are byte-deterministic for a given config at a fixed BLAS
+thread count (the regularity study's dense eigensolve differs across thread
+counts).  The manifest also records wall time and library versions, so only
+it differs between identical runs.  Its metrics name, per cloud size n, the
+eigensolver behind the bases (``eigensolver``) and their largest relative
+residual (``eigen_residual``).  Chain runs record the acceptance with
+burn-in (``acceptance``) and after it (``stationary_acceptance``); Gaussian
+sweeps also record the stationary acceptance the closed-form posterior
+predicts (``predicted_acceptance``).
 
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
-``_basis``.  The acceptance and supervised sweeps build all their points
-first and then run the chains in lockstep, one ``pcn`` call per distinct k.
-Pipeline functions are called through the names this module imports,
-because ``bench/tracing.py`` rebinds them here to trace them.
+``_basis``.  Each runner returns its files, its metrics and the points
+(n, replicate, solver, residual) of every basis it built; ``run_experiment``
+turns the points into the manifest's seed and eigensolver records.  The
+acceptance and supervised sweeps build all their points first and then run
+the chains in lockstep, one ``pcn`` call per distinct k.  Pipeline
+functions are called through the names this module imports, because
+``bench/tracing.py`` rebinds them here to trace them.
 """
 
 import dataclasses
@@ -60,16 +64,6 @@ from .sampler import (
 from .spectral import ContinuumBasis, eigendecompose, spectral_error
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "spectra",
-    "regularity",
-    "posterior",
-    "acceptance-sweep",
-    "supervised-sweep",
-    "oracle-compare",
-    "prior-sample",
-)
 
 # Ground truth for synthetic data: a fixed band-limited combination of
 # spherical harmonics, degrees 1 through 3.  Chosen once and documented
@@ -181,6 +175,8 @@ def validate_config(cfg):
     if not sizes:
         errs.append("n_grid: must not be empty")
         sizes = (cfg.n,)
+    elif len(set(sizes)) < len(sizes):
+        errs.append("n_grid: each cloud size may appear only once")
     if any(int(n) < 2 for n in sizes):
         errs.append("n: every cloud size must be at least 2")
     elif cfg.kind == "posterior" and cfg.n < 4:
@@ -246,6 +242,8 @@ def validate_config(cfg):
         errs.append("draws: must be at least 1")
     if cfg.replicates < 1:
         errs.append("replicates: must be at least 1")
+    if cfg.seed < 0:
+        errs.append("seed: must be nonnegative")
     if cfg.calibration != "sphere" and not (
             _is(cfg.calibration, numbers.Real) and cfg.calibration > 0):
         errs.append('calibration: must be "sphere" or a positive number')
@@ -259,24 +257,6 @@ def validate_config(cfg):
     return errs
 
 
-def catalog():
-    """One-line description per experiment kind."""
-    return {
-        "spectra": "graph Laplacian eigenvalues vs the sphere spectrum, "
-                   "one CSV per bandwidth multiplier",
-        "regularity": "max oscillation of seminorm-normalized prior draws "
-                      "over a smoothness grid",
-        "posterior": "one full pCN run with closed-form cross-check and "
-                     "pushforward field",
-        "acceptance-sweep": "pCN acceptance rate and nodal IACT over a "
-                            "cloud-size grid at fixed p",
-        "supervised-sweep": "same sweep with every point labeled (p = n)",
-        "oracle-compare": "graph posterior mean vs continuum posterior mean "
-                          "on a Monte Carlo grid, over a cloud-size grid",
-        "prior-sample": "raw prior draws as nodal fields",
-    }
-
-
 # --- shared pieces -------------------------------------------------------
 
 
@@ -286,8 +266,19 @@ def _calibration(cfg, n):
     return float(cfg.calibration)
 
 
+def _seed_record(cfg, n, replicate):
+    """The cloud, data-noise and chain seeds of the point (n, replicate)."""
+    return {
+        "n": int(n),
+        "replicate": int(replicate),
+        "cloud_seed": 100 + cfg.seed + replicate,
+        "data_seed": 500 + cfg.seed + replicate,
+        "chain_seed": 900 + cfg.seed + replicate,
+    }
+
+
 def _cloud(cfg, n, replicate):
-    return sample_sphere(n, seed=100 + cfg.seed + replicate)
+    return sample_sphere(n, seed=_seed_record(cfg, n, replicate)["cloud_seed"])
 
 
 def _basis(cfg, cl, k, eps_multiplier=None):
@@ -327,10 +318,10 @@ def _problem(cfg, n, replicate, p=None):
     data = None
     if p is not None:
         cont = ContinuumBasis(cfg.l_max)
+        seed = _seed_record(cfg, n, replicate)["data_seed"]
         data = synthesize_data(truth_coefficients(cont), cont, cfg.t,
                                first_p_design(p), cl,
-                               NoiseModel(cfg.noise, cfg.sigma),
-                               seed=500 + cfg.seed + replicate)
+                               NoiseModel(cfg.noise, cfg.sigma), seed=seed)
     return cl, basis, spec, data
 
 
@@ -346,20 +337,27 @@ def _chain_problem(cfg, n, p, replicate):
                                        NoiseModel(cfg.noise, cfg.sigma))
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
                        burn_in=cfg.burn_in, thinning=cfg.thinning,
-                       seed=900 + cfg.seed + replicate)
+                       seed=_seed_record(cfg, n, replicate)["chain_seed"])
     return cl, basis, spec, data, mat, phi, sc
 
 
-def _eigensolver_metrics(bases):
+def _eigensolver_metrics(points):
     """Solver and largest relative residual per cloud size, keyed by str(n).
 
-    bases holds (n, solver, residual) for every basis a run built.
+    points holds (n, replicate, solver, residual) per basis a run built.
     """
     solver, residual = {}, {}
-    for n, name, res in bases:
+    for n, _, name, res in points:
         solver[str(n)] = name
         residual[str(n)] = max(res, residual.get(str(n), 0.0))
     return {"eigensolver": solver, "eigen_residual": residual}
+
+
+def _medians(cfg, results, key):
+    """Median of results[(n, r)][key] over the replicates, keyed by str(n)."""
+    return {str(n): float(np.median([results[(n, r)][key]
+                                     for r in range(cfg.replicates)]))
+            for n in cfg.n_grid}
 
 
 def _sweep_points(cfg, pairs):
@@ -392,8 +390,8 @@ def _sweep_points(cfg, pairs):
             basis, predicted = problems[i][0], problems[i][4]
             values[i] = {
                 "acceptance": acceptance_rate(chain),
-                "stationary": stationary_acceptance(chain),
-                "predicted": predicted,
+                "stationary_acceptance": stationary_acceptance(chain),
+                "predicted_acceptance": predicted,
                 "iact": integrated_autocorr_time(chain.trace),
                 "solver": basis.solver,
                 "residual": basis.residual,
@@ -421,16 +419,6 @@ def _compare_point(cfg, n, replicate):
             "solver": basis.solver, "residual": basis.residual}
 
 
-def _seed_record(cfg, n, replicate):
-    return {
-        "n": int(n),
-        "replicate": int(replicate),
-        "cloud_seed": 100 + cfg.seed + replicate,
-        "data_seed": 500 + cfg.seed + replicate,
-        "chain_seed": 900 + cfg.seed + replicate,
-    }
-
-
 # Top level so a process pool can pickle it.
 def _grid_worker(args):
     points, cfg_json, pairs = args
@@ -443,8 +431,8 @@ def _run_grid(cfg, jobs, points, lockstep=False):
     points maps a list of (n, r) pairs to their results, in order.  With
     lockstep, each worker takes one contiguous group of pairs, so that its
     chains run together; otherwise each pair is a task of its own.  Returns
-    the results keyed by (n, r), the seed records in grid order and the
-    eigensolver metrics of the points' bases.
+    the results keyed by (n, r) and the points (n, r, solver, residual) in
+    grid order.
     """
     pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
     if jobs <= 1 or len(pairs) <= 1:
@@ -462,10 +450,9 @@ def _run_grid(cfg, jobs, points, lockstep=False):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = [v for part in pool.map(_grid_worker, args)
                       for v in part]
-    seeds = [_seed_record(cfg, n, r) for n, r in pairs]
-    solver = _eigensolver_metrics((n, v["solver"], v["residual"])
-                                  for (n, _), v in zip(pairs, values))
-    return dict(zip(pairs, values)), seeds, solver
+    points = [(n, r, v["solver"], v["residual"])
+              for (n, r), v in zip(pairs, values)]
+    return dict(zip(pairs, values)), points
 
 
 # --- CSV / SVG formatting ------------------------------------------------
@@ -547,17 +534,18 @@ def _svg_line_plot(title, xlabel, ylabel, series):
 
 
 # --- experiment bodies ---------------------------------------------------
-# Each returns (files: name -> text, metrics, per-job seed records).
+# Each returns (files: name -> text, metrics, points), with points holding
+# (n, replicate, solver, residual) for every basis it built, in build order.
 
 
 def _run_spectra(cfg, jobs):
-    files, errs, series, bases = {}, {}, [], []
+    files, errs, series, points = {}, {}, [], []
     cl = _cloud(cfg, cfg.n, 0)
     cont = ContinuumBasis(12)
     lam_cont = cont.eigenvalues
     for mult in cfg.eps_multipliers:
         basis, _ = _basis(cfg, cl, min(50, cfg.n), mult)
-        bases.append((cfg.n, basis.solver, basis.residual))
+        points.append((cfg.n, 0, basis.solver, basis.residual))
         lam = [float(x) for x in basis.eigenvalues]
         rows = [(i + 1, lam[i],
                  float(lam_cont[i]) if i < lam_cont.size else math.nan)
@@ -574,9 +562,7 @@ def _run_spectra(cfg, jobs):
     files["spectra.svg"] = _svg_line_plot(
         "graph vs sphere spectrum (n=%d)" % cfg.n, "index", "eigenvalue",
         series)
-    metrics = {"mean_rel_error_modes_2_9": errs}
-    metrics.update(_eigensolver_metrics(bases))
-    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
+    return files, {"mean_rel_error_modes_2_9": errs}, points
 
 
 def _run_regularity(cfg, jobs):
@@ -593,10 +579,8 @@ def _run_regularity(cfg, jobs):
         "s", "log max osc", [("", xs, [r[2] for r in rows])])
     inversions = sum(1 for i in range(len(table) - 1)
                      if table[i + 1][1] > table[i][1])
-    metrics = {"inversions": inversions}
-    metrics.update(_eigensolver_metrics([(cfg.n, basis.solver,
-                                          basis.residual)]))
-    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
+    return (files, {"inversions": inversions},
+            [(cfg.n, 0, basis.solver, basis.residual)])
 
 
 def _run_posterior(cfg, jobs):
@@ -609,8 +593,6 @@ def _run_posterior(cfg, jobs):
         "stationary_acceptance": stationary_acceptance(chain),
         "iact_u_x1": integrated_autocorr_time(trace),
     }
-    metrics.update(_eigensolver_metrics([(cfg.n, basis.solver,
-                                          basis.residual)]))
     header = ["x", "y", "z", "chain_mean"]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean_fn.values]
     if cfg.noise == "gaussian":
@@ -632,23 +614,21 @@ def _run_posterior(cfg, jobs):
         ("x", "y", "z", "value"),
         list(zip(grid.points[:, 0], grid.points[:, 1], grid.points[:, 2],
                  push)))
-    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
+    return files, metrics, [(cfg.n, 0, basis.solver, basis.residual)]
 
 
 def _run_sweep(cfg, jobs):
-    results, seeds, solver = _run_grid(cfg, jobs, _sweep_points,
-                                       lockstep=True)
-    run_rows, acc_rows, iact_rows = [], [], []
-    acc_med, iact_med = {}, {}
-    for n in cfg.n_grid:
-        accs = [results[(n, r)]["acceptance"] for r in range(cfg.replicates)]
-        iacts = [results[(n, r)]["iact"] for r in range(cfg.replicates)]
-        for r in range(cfg.replicates):
-            run_rows.append((r, n, accs[r], iacts[r]))
-        acc_med[n] = float(np.median(accs))
-        iact_med[n] = float(np.median(iacts))
-        acc_rows.append((n, acc_med[n]))
-        iact_rows.append((n, iact_med[n]))
+    results, points = _run_grid(cfg, jobs, _sweep_points, lockstep=True)
+    # medians over replicates; stationary_acceptance counts after burn-in,
+    # and predicted_acceptance is the closed-form posterior's
+    names = ["acceptance", "iact", "stationary_acceptance"]
+    if cfg.noise == "gaussian":
+        names.append("predicted_acceptance")
+    metrics = {name: _medians(cfg, results, name) for name in names}
+    acc_rows = [(n, metrics["acceptance"][str(n)]) for n in cfg.n_grid]
+    iact_rows = [(n, metrics["iact"][str(n)]) for n in cfg.n_grid]
+    run_rows = [(r, n, results[(n, r)]["acceptance"], results[(n, r)]["iact"])
+                for n in cfg.n_grid for r in range(cfg.replicates)]
     files = {
         "acceptance.csv": _csv(("n", "acceptance"), acc_rows),
         "iact.csv": _csv(("n", "iact"), iact_rows),
@@ -660,40 +640,20 @@ def _run_sweep(cfg, jobs):
                                  else " (p = %d)" % cfg.p),
         "n", "acceptance",
         [("", [float(n) for n, _ in acc_rows], [a for _, a in acc_rows])])
-    metrics = {"acceptance": {str(n): acc_med[n] for n in cfg.n_grid},
-               "iact": {str(n): iact_med[n] for n in cfg.n_grid},
-               # post-burn-in acceptance, median over replicates
-               "stationary_acceptance": {
-                   str(n): float(np.median([results[(n, r)]["stationary"]
-                                            for r in range(cfg.replicates)]))
-                   for n in cfg.n_grid}}
-    if cfg.noise == "gaussian":
-        # Stationary acceptance of the closed-form posterior, median over
-        # replicates like the measured one.
-        metrics["predicted_acceptance"] = {
-            str(n): float(np.median([results[(n, r)]["predicted"]
-                                     for r in range(cfg.replicates)]))
-            for n in cfg.n_grid}
-    metrics.update(solver)
-    return files, metrics, seeds
+    return files, metrics, points
 
 
 def _run_compare(cfg, jobs):
-    results, seeds, solver = _run_grid(cfg, jobs, _compare_points)
-    dist = {key: v["distance"] for key, v in results.items()}
-    rows = [(r, n, dist[(n, r)])
+    results, points = _run_grid(cfg, jobs, _compare_points)
+    rows = [(r, n, results[(n, r)]["distance"])
             for n in cfg.n_grid for r in range(cfg.replicates)]
-    medians = {n: float(np.median([dist[(n, r)]
-                                   for r in range(cfg.replicates)]))
-               for n in cfg.n_grid}
+    medians = _medians(cfg, results, "distance")
     files = {"consistency.csv": _csv(("replicate", "n", "distance"), rows)}
     files["consistency.svg"] = _svg_line_plot(
         "graph vs continuum posterior mean", "n", "L2 distance",
         [("", [float(n) for n in cfg.n_grid],
-          [medians[n] for n in cfg.n_grid])])
-    metrics = {"median_distance": {str(n): medians[n] for n in cfg.n_grid}}
-    metrics.update(solver)
-    return files, metrics, seeds
+          [medians[str(n)] for n in cfg.n_grid])])
+    return files, {"median_distance": medians}, points
 
 
 def _run_prior_sample(cfg, jobs):
@@ -704,19 +664,32 @@ def _run_prior_sample(cfg, jobs):
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2]]
     cols += [d.values for d in draws]
     files = {"prior_draws.csv": _csv(header, list(zip(*cols)))}
-    metrics = _eigensolver_metrics([(cfg.n, basis.solver, basis.residual)])
-    return files, metrics, [_seed_record(cfg, cfg.n, 0)]
+    return files, {}, [(cfg.n, 0, basis.solver, basis.residual)]
 
 
-_RUNNERS = {
-    "spectra": _run_spectra,
-    "regularity": _run_regularity,
-    "posterior": _run_posterior,
-    "acceptance-sweep": _run_sweep,
-    "supervised-sweep": _run_sweep,
-    "oracle-compare": _run_compare,
-    "prior-sample": _run_prior_sample,
+# kind -> (runner, catalog line)
+_KINDS = {
+    "spectra": (_run_spectra, "graph Laplacian eigenvalues vs the sphere "
+                "spectrum, one CSV per bandwidth multiplier"),
+    "regularity": (_run_regularity, "max oscillation of seminorm-normalized "
+                   "prior draws over a smoothness grid"),
+    "posterior": (_run_posterior, "one full pCN run with closed-form "
+                  "cross-check and pushforward field"),
+    "acceptance-sweep": (_run_sweep, "pCN acceptance rate and nodal IACT "
+                         "over a cloud-size grid at fixed p"),
+    "supervised-sweep": (_run_sweep, "same sweep with every point labeled "
+                         "(p = n)"),
+    "oracle-compare": (_run_compare, "graph posterior mean vs continuum "
+                       "posterior mean on a Monte Carlo grid, over a "
+                       "cloud-size grid"),
+    "prior-sample": (_run_prior_sample, "raw prior draws as nodal fields"),
 }
+KINDS = tuple(_KINDS)
+
+
+def catalog():
+    """One-line description per experiment kind."""
+    return {kind: line for kind, (_, line) in _KINDS.items()}
 
 
 def run_experiment(cfg, out_dir=None, jobs=1):
@@ -730,13 +703,15 @@ def run_experiment(cfg, out_dir=None, jobs=1):
         raise ValueError("invalid config:\n  " + "\n  ".join(errs))
     out = out_dir if out_dir is not None else cfg.out
     start = time.time()
-    files, metrics, seeds = _RUNNERS[cfg.kind](cfg, jobs)
+    files, metrics, points = _KINDS[cfg.kind][0](cfg, jobs)
+    metrics.update(_eigensolver_metrics(points))
+    built = dict.fromkeys((n, r) for n, r, _, _ in points)
     manifest = {
         "schema": SCHEMA_VERSION,
         "config": json.loads(cfg.to_json()),
         "kind": cfg.kind,
         "outputs": sorted(files),
-        "seeds": seeds,
+        "seeds": [_seed_record(cfg, n, r) for n, r in built],
         "metrics": metrics,
         "versions": _versions(),
         "wall_time_s": round(time.time() - start, 3),

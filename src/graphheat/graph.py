@@ -58,20 +58,14 @@ class GeometricGraph:
     Attributes
     ----------
     weights : scipy.sparse.csr_matrix
-        n x n symmetric, zero diagonal; nonzeros all equal weight_value.
-    weight_value : float
-        (m+2) / (n^2 * alpha_m * eps^(m+2)).
+        n x n symmetric, zero diagonal; nonzeros all equal kernel_weight.
     n_components : int
         Number of connected components (isolated points count).
     """
 
-    def __init__(self, cloud, eps, weights, n_components):
-        self.cloud = cloud
-        self.eps = float(eps)
-        self.n = cloud.n
-        self.m = cloud.intrinsic_dim
+    def __init__(self, weights, n_components):
+        self.n = weights.shape[0]
         self.weights = weights
-        self.weight_value = kernel_weight(cloud.n, cloud.intrinsic_dim, eps)
         self.n_components = int(n_components)
 
 
@@ -105,7 +99,7 @@ def build_eps_graph(cloud, eps):
             eps,
             ncomp,
         )
-    return GeometricGraph(cloud, eps, weights, ncomp)
+    return GeometricGraph(weights, ncomp)
 
 
 class GraphLaplacian:
@@ -117,8 +111,6 @@ class GraphLaplacian:
         degrees = np.asarray(graph.weights.sum(axis=1)).ravel()
         lap = sparse.diags(degrees) - graph.weights
         self.matrix = (calibration * lap).tocsr()
-        self.graph = graph
-        self.calibration = float(calibration)
         self.n = graph.n
 
     def dense(self):

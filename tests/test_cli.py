@@ -105,6 +105,18 @@ def test_seed_flag_changes_results(tmp_path):
     assert man["seeds"][0]["cloud_seed"] == 105
 
 
+def test_negative_seed_is_refused(tmp_path, capsys):
+    out = tmp_path / "o"
+    for cmd, extra in [("validate", {"seed": -101}), ("run", {"seed": -101}),
+                       ("run", {})]:
+        cfg = write_config(tmp_path / "c.json", **extra)
+        flag = [] if extra else ["--seed", "-101"]
+        assert main([cmd, "--config", cfg, "--out", str(out)] + flag) == 2
+        assert "config error: seed: must be nonnegative" in \
+            capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_results_root_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GRAPHHEAT_RESULTS", str(tmp_path / "root"))
     cfg = write_config(tmp_path / "c.json", out="exp1")

@@ -96,6 +96,12 @@ def test_validate_field_errors(tmp_path):
         (C(kind="posterior", n=60, p=10, k_n=True), "k_n"),
         (C(kind="prior-sample", n=30, calibration=True), "calibration"),
         (C(kind="spectra", out=5), "out"),
+        # a repeated size would run its points twice on the same seeds
+        (C(kind="acceptance-sweep", n_grid=(40, 60, 40), p=10), "n_grid"),
+        (C(kind="oracle-compare", n_grid=(40, 40), p=10), "n_grid"),
+        # numpy refuses negative seeds partway through the run
+        (C(kind="spectra", n=60, seed=-101), "seed"),
+        (C(kind="prior-sample", n=30, seed=-1), "seed"),
     ]:
         errs = validate_config(cfg)
         assert any(e.startswith(field + ": ") for e in errs), (cfg, errs)
@@ -497,18 +503,65 @@ def test_truncated_runs_form_no_dense_laplacian(tmp_path, monkeypatch):
     assert dense == [50]
 
 
-def test_manifest_names_the_eigensolver(tmp_path):
-    sweep = json.load(open(run_experiment(
-        toy_cfg("acceptance-sweep"), out_dir=str(tmp_path / "sweep"))))
-    assert sweep["metrics"]["eigensolver"] == {"40": "shift-invert",
-                                               "60": "shift-invert"}
-    assert set(sweep["metrics"]["eigen_residual"]) == {"40", "60"}
-    assert all(0.0 <= r < 1e-10
-               for r in sweep["metrics"]["eigen_residual"].values())
-    reg = json.load(open(run_experiment(
-        toy_cfg("regularity"), out_dir=str(tmp_path / "reg"))))
-    assert reg["metrics"]["eigensolver"] == {"50": "dense"}
-    assert 0.0 <= reg["metrics"]["eigen_residual"]["50"] < 1e-10
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_manifest_names_the_eigensolver(tmp_path, monkeypatch, kind):
+    # The eigensolver metrics are keyed by exactly the cloud sizes whose
+    # bases the run built, and the seed records list each built cloud once,
+    # in build order (spectra builds several bases on one cloud).
+    built = []
+    basis = ex._basis
+
+    def recording(cfg, cl, *args):
+        built.append((cl.n, cl.seed))
+        return basis(cfg, cl, *args)
+
+    monkeypatch.setattr(ex, "_basis", recording)
+    extra = {"eps_multipliers": (2.0, 3.0)} if kind == "spectra" else {}
+    man = json.load(open(run_experiment(toy_cfg(kind, **extra),
+                                        out_dir=str(tmp_path))))
+    solver, residual = (man["metrics"]["eigensolver"],
+                        man["metrics"]["eigen_residual"])
+    assert set(solver) == set(residual) == {str(n) for n, _ in built}
+    assert all(0.0 <= r < 1e-10 for r in residual.values())
+    # a basis of at least half the cloud comes from the dense solver
+    dense = kind in ("regularity", "spectra")
+    assert set(solver.values()) == {"dense" if dense else "shift-invert"}
+    clouds = list(dict.fromkeys(built))
+    assert [(s["n"], s["cloud_seed"]) for s in man["seeds"]] == clouds
+    assert len({(s["n"], s["replicate"]) for s in man["seeds"]}) == \
+        len(clouds)
+
+
+@pytest.mark.parametrize("kind", ["posterior", "acceptance-sweep",
+                                  "oracle-compare"])
+def test_manifest_seeds_are_the_seeds_used(tmp_path, monkeypatch, kind):
+    used = {"cloud": [], "data": [], "chain": []}
+    sample, synthesize, run = ex.sample_sphere, ex.synthesize_data, ex.pcn
+
+    def sampling(n, seed):
+        used["cloud"].append((n, seed))
+        return sample(n, seed)
+
+    def synthesizing(*args, seed):
+        used["data"].append(seed)
+        return synthesize(*args, seed=seed)
+
+    def running(basis, spec, phi, config, **kwargs):
+        configs = [config] if hasattr(config, "seed") else config
+        used["chain"] += [c.seed for c in configs]
+        return run(basis, spec, phi, config, **kwargs)
+
+    monkeypatch.setattr(ex, "sample_sphere", sampling)
+    monkeypatch.setattr(ex, "synthesize_data", synthesizing)
+    monkeypatch.setattr(ex, "pcn", running)
+    man = json.load(open(run_experiment(toy_cfg(kind),
+                                        out_dir=str(tmp_path))))
+    seeds = man["seeds"]
+    assert len(seeds) == (1 if kind == "posterior" else 4)
+    assert used["cloud"] == [(s["n"], s["cloud_seed"]) for s in seeds]
+    assert used["data"] == [s["data_seed"] for s in seeds]
+    chains = [] if kind == "oracle-compare" else seeds
+    assert used["chain"] == [s["chain_seed"] for s in chains]
 
 
 def test_supervised_sweep_labels_everything(tmp_path):

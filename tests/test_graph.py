@@ -146,10 +146,11 @@ def test_eps_graph_matches_dense_reference(seed, d):
         ref = _dense_weights(cl, eps)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(g.weights, attr), getattr(ref, attr))
-        ref_graph = GeometricGraph(cl, eps, ref, g.n_components)
+        ref_graph = GeometricGraph(ref, g.n_components)
         assert np.array_equal(laplacian(g).dense(),
                               laplacian(ref_graph).dense())
         assert g.weights[30].nnz == 0
     assert g.n_components >= 2
     g = build_eps_graph(cl, boundary)
-    assert g.weights[i, j] == g.weights[j, i] == g.weight_value
+    assert g.weights[i, j] == g.weights[j, i] == kernel_weight(
+        cl.n, cl.intrinsic_dim, boundary)
