@@ -43,7 +43,6 @@ from .forward import (
     first_p_design,
     heat_continuum,
     heat_graph,
-    observation_matrix,
     observe_continuum,
 )
 from .likelihood import (

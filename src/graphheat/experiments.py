@@ -170,8 +170,8 @@ def validate_config(cfg):
         errs.append("out: must be a string")
     if errs:     # the value checks below cannot compare such fields
         return errs
-    sweep = cfg.kind in ("acceptance-sweep", "supervised-sweep", "oracle-compare")
-    sizes = cfg.n_grid if sweep else (cfg.n,)
+    parts = _KINDS[cfg.kind][2]
+    sizes = cfg.n_grid if "n_grid" in parts else (cfg.n,)
     if not sizes:
         errs.append("n_grid: must not be empty")
         sizes = (cfg.n,)
@@ -179,32 +179,28 @@ def validate_config(cfg):
         errs.append("n_grid: each cloud size may appear only once")
     if any(int(n) < 2 for n in sizes):
         errs.append("n: every cloud size must be at least 2")
-    elif cfg.kind == "posterior" and cfg.n < 4:
+    elif "pushforward" in parts and cfg.n < 4:
         errs.append("n: the k=4 push-forward needs at least 4 points")
     if cfg.eps_multiplier <= 0:
         errs.append("eps_multiplier: must be positive")
-    if cfg.kind == "spectra" and (not cfg.eps_multipliers
-                                  or any(x <= 0 for x in cfg.eps_multipliers)):
-        errs.append("eps_multipliers: need a nonempty list of positive values")
-    elif cfg.kind == "spectra":
+    if "eps_multipliers" in parts:
         labels = ["%g" % x for x in cfg.eps_multipliers]
-        if len(set(labels)) < len(labels):
+        if not labels or any(x <= 0 for x in cfg.eps_multipliers):
+            errs.append("eps_multipliers: need a nonempty list of positive "
+                        "values")
+        elif len(set(labels)) < len(labels):
             errs.append("eps_multipliers: each needs its own %%g label, which "
                         "names its output file (got %s)" % ", ".join(labels))
     if cfg.alpha < 0:
         errs.append("alpha: must be nonnegative")
-    elif cfg.alpha == 0 and cfg.kind != "spectra":
+    elif cfg.alpha == 0 and ("s" in parts or "s_grid" in parts):
         errs.append("alpha: must be positive, the prior keeps the constant "
                     "mode")
-    needs_prior = cfg.kind in ("posterior", "acceptance-sweep",
-                               "supervised-sweep", "oracle-compare",
-                               "prior-sample")
-    if needs_prior and cfg.s <= 2:
+    if "s" in parts and cfg.s <= 2:
         errs.append("s: must exceed the intrinsic dimension m=2 of the sphere")
     if cfg.k_n != "auto" and (not _is(cfg.k_n, int) or cfg.k_n < 1):
         errs.append('k_n: must be a positive integer or "auto"')
-    chain = cfg.kind in ("posterior", "acceptance-sweep", "supervised-sweep")
-    if chain:
+    if "chain" in parts:
         if not 0.0 < cfg.beta <= 1.0:
             errs.append("beta: must lie in (0, 1]")
         if cfg.iterations < 1:
@@ -217,13 +213,12 @@ def validate_config(cfg):
                 cfg.burn_in, cfg.iterations, cfg.thinning)) < 4):
             errs.append("iterations: the IACT needs at least 4 samples kept "
                         "after burn_in and thinning")
-    if cfg.kind in ("posterior", "acceptance-sweep", "oracle-compare"):
+    if "p" in parts:
         if cfg.p < 1:
             errs.append("p: must be positive")
         elif any(cfg.p > int(n) for n in sizes):
             errs.append("p: exceeds the smallest cloud size in the sweep")
-    if cfg.kind in ("posterior", "acceptance-sweep", "supervised-sweep",
-                    "oracle-compare"):
+    if "labels" in parts:
         if cfg.sigma <= 0:
             errs.append("sigma: must be positive")
         if cfg.noise not in ("gaussian", "probit"):
@@ -234,11 +229,15 @@ def validate_config(cfg):
         if cfg.l_max < truth_degree:
             errs.append("l_max: must be at least %d to carry the ground truth"
                         % truth_degree)
-    if cfg.kind == "oracle-compare" and cfg.noise == "probit":
-        errs.append("noise: oracle-compare requires the gaussian model")
-    if cfg.kind == "regularity" and not cfg.s_grid:
-        errs.append("s_grid: must not be empty")
-    if cfg.kind in ("regularity", "prior-sample") and cfg.draws < 1:
+    if "gaussian" in parts and cfg.noise == "probit":
+        errs.append("noise: %s requires the gaussian model" % cfg.kind)
+    if "s_grid" in parts:
+        if not cfg.s_grid:
+            errs.append("s_grid: must not be empty")
+        elif any(x < 0 for x in cfg.s_grid):
+            errs.append("s_grid: must be nonnegative, lambda^s is infinite "
+                        "on the zero eigenvalue for s < 0")
+    if "draws" in parts and cfg.draws < 1:
         errs.append("draws: must be at least 1")
     if cfg.replicates < 1:
         errs.append("replicates: must be at least 1")
@@ -251,8 +250,7 @@ def validate_config(cfg):
         errs.append("grid_size: must be positive")
     if cfg.knn_k < 1:
         errs.append("knn_k: must be at least 1")
-    elif cfg.kind == "oracle-compare" and any(cfg.knn_k > int(n)
-                                              for n in sizes):
+    elif "knn_k" in parts and any(cfg.knn_k > int(n) for n in sizes):
         errs.append("knn_k: exceeds the smallest cloud size in the sweep")
     return errs
 
@@ -332,7 +330,7 @@ def _chain_problem(cfg, n, p, replicate):
     chain's config.
     """
     cl, basis, spec, data = _problem(cfg, n, replicate, p)
-    mat = design_matrix(basis, cfg.t, data.design, cl)
+    mat = design_matrix(basis, cfg.t, data.design)
     phi = potential_from_design_matrix(mat, data,
                                        NoiseModel(cfg.noise, cfg.sigma))
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
@@ -667,29 +665,36 @@ def _run_prior_sample(cfg, jobs):
     return files, {}, [(cfg.n, 0, basis.solver, basis.residual)]
 
 
-# kind -> (runner, catalog line)
+# kind -> (runner, catalog line, the parts validate_config checks: cloud
+# sizes from "n_grid", the prior's "s", "chain", "p", "labels", "gaussian"
+# noise only, "draws", "s_grid", "eps_multipliers", "knn_k", "pushforward")
 _KINDS = {
     "spectra": (_run_spectra, "graph Laplacian eigenvalues vs the sphere "
-                "spectrum, one CSV per bandwidth multiplier"),
+                "spectrum, one CSV per bandwidth multiplier",
+                ("eps_multipliers",)),
     "regularity": (_run_regularity, "max oscillation of seminorm-normalized "
-                   "prior draws over a smoothness grid"),
+                   "prior draws over a smoothness grid", ("s_grid", "draws")),
     "posterior": (_run_posterior, "one full pCN run with closed-form "
-                  "cross-check and pushforward field"),
+                  "cross-check and pushforward field",
+                  ("s", "chain", "p", "labels", "pushforward")),
     "acceptance-sweep": (_run_sweep, "pCN acceptance rate and nodal IACT "
-                         "over a cloud-size grid at fixed p"),
+                         "over a cloud-size grid at fixed p",
+                         ("n_grid", "s", "chain", "p", "labels")),
     "supervised-sweep": (_run_sweep, "same sweep with every point labeled "
-                         "(p = n)"),
+                         "(p = n)", ("n_grid", "s", "chain", "labels")),
     "oracle-compare": (_run_compare, "graph posterior mean vs continuum "
                        "posterior mean on a Monte Carlo grid, over a "
-                       "cloud-size grid"),
-    "prior-sample": (_run_prior_sample, "raw prior draws as nodal fields"),
+                       "cloud-size grid",
+                       ("n_grid", "s", "p", "labels", "gaussian", "knn_k")),
+    "prior-sample": (_run_prior_sample, "raw prior draws as nodal fields",
+                     ("s", "draws")),
 }
 KINDS = tuple(_KINDS)
 
 
 def catalog():
     """One-line description per experiment kind."""
-    return {kind: line for kind, (_, line) in _KINDS.items()}
+    return {kind: line for kind, (_, line, _) in _KINDS.items()}
 
 
 def run_experiment(cfg, out_dir=None, jobs=1):

@@ -2,7 +2,7 @@
 
 The prior puts independent N(0, d_i) laws on the k retained coefficients,
 d_i = (alpha+lambda_i)^(-s/2), and labels are y = M a + N(0, sigma^2 I),
-where the p x k design M holds the observation rows of the eigenfeatures
+where the p x k design M holds the eigenfeatures at the labeled points
 damped by exp(-lambda_i t).  The posterior on the coefficients is the
 conjugate Gaussian N(mu, C) (Stuart, 2010, Inverse problems: a Bayesian
 perspective):
@@ -21,9 +21,10 @@ which stays finite and positive semi-definite as sigma -> 0, where
 I + B^T B is numerically singular.  The SVD costs O(p k^2) and holds
 nothing larger than max(p, k) x k.  At query features psi (one row per
 point) the mean is psi mu and the variance the diagonal of psi C psi^T.
-``graph_posterior`` feeds graph eigenvectors, ``continuum_posterior``
-spherical harmonics.  These are the ground truth the pCN chains are
-validated against; gaussian noise only.
+``graph_posterior`` takes M from ``forward.design_matrix``, the rows the
+pCN chains use; ``continuum_posterior`` builds it from spherical
+harmonics.  These are the ground truth the pCN chains are validated
+against; gaussian noise only.
 
 In the same whitened coordinates z = D^(-1/2) a the pCN proposal is
 z' = sqrt(1-beta^2) z + beta xi, and the misfit sees only the components
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .forward import BALL, observation_matrix
+from .forward import design_matrix
 from .likelihood import GAUSSIAN
 
 
@@ -151,37 +152,27 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     return total / draws
 
 
-def graph_posterior(data, basis, spec, t, sigma, cloud=None):
+def graph_posterior(data, basis, spec, t, sigma):
     """Closed-form posterior mean/variance at every node of the graph.
 
-    The observation rows come from the design in `data`: pointwise rows
-    gather the labeled eigenvector entries, ball rows average them through
-    the sparse observation operator, which needs the cloud.
+    The observation rows are the design matrix the chains use, cut to the
+    prior's k retained modes.
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
     kern = CovarianceKernels(spec, t, basis)
-    if data.design.mode == BALL:
-        if cloud is None:
-            raise ValueError("ball observation needs the cloud")
-        rows = observation_matrix(data.design, cloud) @ kern.psi
-    else:
-        rows = kern.psi[list(data.design.labeled)]
-    lam = basis.eigenvalues[:kern.d_u.shape[0]]
-    mean, cov = coefficient_posterior(rows * np.exp(-lam * t)[None, :],
-                                      kern.d_u, data.y, sigma)
+    rows = design_matrix(basis, t, data.design)[:, :kern.d_u.shape[0]]
+    mean, cov = coefficient_posterior(rows, kern.d_u, data.y, sigma)
     return _at(kern.psi, mean, cov)
 
 
 def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
     """Closed-form posterior on the sphere, queryable at arbitrary points.
 
-    Pointwise observation only; the prior is truncated at the basis l_max.
+    The prior is truncated at the basis l_max.
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
-    if data.design.mode != "pointwise":
-        raise ValueError("continuum posterior supports pointwise observation only")
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
     rows = cont.evaluate(cloud.points[list(data.design.labeled)])
     mean, cov = coefficient_posterior(

@@ -102,12 +102,45 @@ def test_validate_field_errors(tmp_path):
         # numpy refuses negative seeds partway through the run
         (C(kind="spectra", n=60, seed=-101), "seed"),
         (C(kind="prior-sample", n=30, seed=-1), "seed"),
+        # lambda^s is infinite on the zero eigenvalue for s < 0
+        (C(kind="regularity", n=80, s_grid=(-1, 2), draws=3), "s_grid"),
     ]:
         errs = validate_config(cfg)
         assert any(e.startswith(field + ": ") for e in errs), (cfg, errs)
         with pytest.raises(ValueError, match="invalid config"):
             run_experiment(cfg, out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == []
+    # lambda^0 = 1 on every mode, the zero eigenvalue included
+    assert validate_config(C(kind="regularity", n=80, s_grid=(0, 2),
+                             draws=3)) == []
+
+
+# Per part of a config that only some kinds read: a value validate_config
+# refuses for those kinds, and the field its error names.
+BAD_PART = {
+    "n_grid": (dict(n_grid=(40, 40)), "n_grid"),
+    "s": (dict(s=2.0), "s"),
+    "chain": (dict(beta=0.0), "beta"),
+    "p": (dict(p=0), "p"),
+    "labels": (dict(sigma=0.0), "sigma"),
+    "gaussian": (dict(noise="probit"), "noise"),
+    "draws": (dict(draws=0), "draws"),
+    "s_grid": (dict(s_grid=(-1, 2)), "s_grid"),
+    "eps_multipliers": (dict(eps_multipliers=()), "eps_multipliers"),
+    "knn_k": (dict(knn_k=41), "knn_k"),
+    "pushforward": (dict(n=3, p=2), "n"),
+}
+
+
+@pytest.mark.parametrize("kind", ex.KINDS)
+def test_each_kind_checks_exactly_the_parts_it_reads(kind):
+    parts = ex._KINDS[kind][2]
+    assert set(parts) <= set(BAD_PART)
+    assert validate_config(toy_cfg(kind)) == []
+    for part, (bad, field) in BAD_PART.items():
+        errs = validate_config(toy_cfg(kind, **bad))
+        named = any(e.startswith(field + ": ") for e in errs)
+        assert named == (part in parts), (part, errs)
 
 
 def test_manifest_with_the_old_m_field(tmp_path):

@@ -74,7 +74,7 @@ def test_potential_shape_mismatch():
         potential(np.zeros(3), data, NoiseModel("gaussian", 0.5))
 
 
-def test_design_matrix_potential_closure(basis120, sphere120):
+def test_design_matrix_potential_closure(basis120):
     from graphheat import design_matrix
 
     design = first_p_design(10)
@@ -82,7 +82,7 @@ def test_design_matrix_potential_closure(basis120, sphere120):
     rng = np.random.default_rng(0)
     y = rng.standard_normal(10)
     data = LabeledData(y, design, 0.2, "gaussian", 0.3)
-    mat = design_matrix(basis120, 0.2, design, sphere120)
+    mat = design_matrix(basis120, 0.2, design)
     phi = potential_from_design_matrix(mat, data, model)
     for seed in range(3):
         a = np.random.default_rng(seed).standard_normal(basis120.count)

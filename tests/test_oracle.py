@@ -148,16 +148,6 @@ def test_probit_data_rejected(basis120):
         graph_posterior(data, basis120, spec, 0.1, 0.5)
 
 
-def test_ball_design_needs_cloud(sphere120, basis120):
-    spec = PriorSpec(alpha=1.0, s=5.0, k_n=10)
-    design = ObservationDesign((0, 4), mode="ball", delta=0.4)
-    y = np.array([0.2, -0.3])
-    data = LabeledData(y, design, 0.1, "gaussian", 0.2)
-    post = graph_posterior(data, basis120, spec, 0.1, 0.2, cloud=sphere120)
-    assert post.mean.shape == (120,)
-    assert np.all(np.isfinite(post.mean))
-
-
 def test_continuum_posterior_small_case():
     cl = sample_sphere(60, seed=5)
     cont = ContinuumBasis(2)
@@ -168,32 +158,26 @@ def test_continuum_posterior_small_case():
     data = LabeledData(truth_at, first_p_design(10), 0.0, "gaussian", 1e-6)
     post = continuum_posterior(data, cont, spec, 0.0, 1e-6, cl.points[:10], cl)
     assert np.allclose(post.mean, truth_at, atol=1e-3)
-    ball = ObservationDesign((0,), mode="ball", delta=0.3)
-    bad = LabeledData(np.array([0.1]), ball, 0.0, "gaussian", 0.1)
-    with pytest.raises(ValueError):
-        continuum_posterior(bad, cont, spec, 0.0, 0.1, cl.points[:1], cl)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 0.2])
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 1.0])
-@pytest.mark.parametrize("mode", ["pointwise", "ball"])
-def test_matches_coefficient_space_posterior(sphere120, basis120, t, sigma,
-                                             mode):
+# every third of the first 60 nodes (p = k = 20), and every node (p = n, as
+# in the supervised sweep)
+@pytest.mark.parametrize("labeled", [range(0, 60, 3), range(120)],
+                         ids=["pointwise", "supervised"])
+def test_matches_coefficient_space_posterior(basis120, t, sigma, labeled):
     # Independent closed form: with G(a) = M a for the design matrix M the
     # chains use, the coefficient posterior is N(mu, C) with precision
     # D_u^-1 + M^T M / sigma^2; at the nodes it has mean Psi mu and
     # variance diag(Psi C Psi^T).
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
-    if mode == "ball":
-        design = ObservationDesign(range(0, 60, 3), "ball", 0.4)
-        cloud = sphere120
-    else:
-        design, cloud = ObservationDesign(range(0, 60, 3)), None
+    design = ObservationDesign(labeled)
     y = np.random.default_rng(4).standard_normal(design.p)
     post = graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
-                           basis120, spec, t, sigma, cloud=cloud)
+                           basis120, spec, t, sigma)
 
-    mat = design_matrix(basis120, t, design, sphere120)
+    mat = design_matrix(basis120, t, design)
     d_u = spec.coefficient_scales(basis120.eigenvalues) ** 2
     cov = np.linalg.inv(np.diag(1.0 / d_u) + mat.T @ mat / sigma**2)
     mu = cov @ mat.T @ y / sigma**2
@@ -315,32 +299,6 @@ def test_graph_posterior_memory_is_linear_in_labels():
         tracemalloc.stop()
     assert post.mean.shape == (n,)
     assert peak < 20e6
-
-
-def test_ball_posterior_matches_dense_observation_rows(sphere120, basis120):
-    # The sparse ball operator against rows built from the dense distances
-    spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
-    t, sigma = 0.2, 0.1
-    labeled = (0, 7, 30, 55)
-    delta = 0.45
-    dist = PointCloud(sphere120.points, 2).pairwise_distances()
-    obs = np.zeros((len(labeled), sphere120.n))
-    for row, j in enumerate(labeled):
-        inside = dist[j] <= delta
-        obs[row, inside] = 1.0 / np.count_nonzero(inside)
-    psi = basis120.eigenvectors
-    mat = obs @ psi * np.exp(-basis120.eigenvalues * t)
-    y = np.random.default_rng(8).standard_normal(len(labeled))
-    design = ObservationDesign(labeled, "ball", delta)
-    post = graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
-                           basis120, spec, t, sigma, cloud=sphere120)
-    d_u = spec.coefficient_scales(basis120.eigenvalues) ** 2
-    cov = np.linalg.inv(np.diag(1.0 / d_u) + mat.T @ mat / sigma**2)
-    assert_close(post.mean, psi @ (cov @ mat.T @ y) / sigma**2, 1e-9)
-    assert_close(post.variance, np.sum((psi @ cov) * psi, axis=1), 1e-9)
-    with pytest.raises(ValueError, match="needs the cloud"):
-        graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
-                        basis120, spec, t, sigma)
 
 
 @pytest.mark.parametrize("p", [3, 30])
