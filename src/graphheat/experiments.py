@@ -14,8 +14,9 @@ prefix of the larger), so sweep points at a fixed replicate share geometry
 and, when the labeled set is a prefix, share data.
 
 All result files are byte-deterministic for a given config at a fixed BLAS
-thread count (the regularity study's dense eigensolve differs across thread
-counts).  The manifest also records wall time and library versions, so only
+thread count; across thread counts the regularity study's values agree to
+about 1e-13 relative, because its draws do not depend on which eigenvectors
+the dense solver picks inside a near-repeated eigenvalue.  The manifest also records wall time and library versions, so only
 it differs between identical runs.  Its metrics name, per cloud size n, the
 eigensolver behind the bases (``eigensolver``) and their largest relative
 residual (``eigen_residual``).  Chain runs record the acceptance with

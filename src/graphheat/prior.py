@@ -5,7 +5,10 @@ i.i.d. standard normal xi.  The regularity diagnostic is the oscillation
 statistic over closed eps-balls of draws normalized to unit H^s seminorm.
 It runs over the cloud's cached CSR ball lists (``PointCloud.eps_balls``),
 built once per (cloud, eps), so each call costs O(number of ball entries)
-rather than O(n^2).
+rather than O(n^2).  The regularity study takes xi from nodal white noise
+z, xi = Psi^T z / sqrt(n), and shares one z across every s: each draw is
+then a function of the Laplacian applied to z, the same whichever
+orthonormal eigenvectors the solver picked inside a repeated eigenvalue.
 """
 
 import math
@@ -18,6 +21,10 @@ UNTRUNCATED = None  # sentinel for k_n = n
 # Consecutive redraws of one regularity draw (seminorm below 1e-14) before
 # the study gives up on that s.
 MAX_REDRAWS = 100
+# Draws per chunk of the regularity study.  The oscillation gather is one
+# row at a time, so the chunk bounds only the (len(s_grid) * chunk, n)
+# array of synthesized values.
+DRAW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -119,13 +126,14 @@ def _coefficients(u, basis):
 
 
 def _seminorm(eigenvalues, coeffs, s):
-    lam = eigenvalues[: coeffs.shape[0]]
-    return float(np.sum(lam**s * coeffs**2))
+    # the H^s seminorm of one coefficient vector, or of each row of a batch
+    lam = eigenvalues[: coeffs.shape[-1]]
+    return np.sum(lam**s * coeffs**2, axis=-1)
 
 
 def _nodal_values(u, cloud):
     values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
-    if values.shape != (cloud.n,):
+    if values.ndim not in (1, 2) or values.shape[-1] != cloud.n:
         raise ValueError(
             "expected %d nodal values, got shape %s" % (cloud.n, values.shape)
         )
@@ -139,66 +147,97 @@ def oscillation(u, cloud, eps):
     distance eps of x_i (self included, so isolated points give 0).  The
     balls are the cloud's cached CSR lists from ``cloud.eps_balls(eps)``,
     built once per (cloud, eps); max and min are exact, so the result does
-    not depend on how the balls are stored.
+    not depend on how the balls are stored.  An (m, n) batch of functions,
+    one per row, gives an (m, n) array and the m row maxima.
     """
     values = _nodal_values(u, cloud)
     indptr, indices = cloud.eps_balls(eps)
-    ball = values[indices]
     # every ball contains its own point, so no segment is empty
     starts = indptr[:-1]
-    osc = np.maximum.reduceat(ball, starts) - np.minimum.reduceat(ball, starts)
-    return osc, float(osc.max())
+    osc = np.empty(values.shape)
+    # one row at a time: a 1-D gather and reduceat beat their 2-D forms
+    for row, out in zip(np.atleast_2d(values), np.atleast_2d(osc)):
+        ball = row[indices]
+        np.subtract(np.maximum.reduceat(ball, starts),
+                    np.minimum.reduceat(ball, starts), out=out)
+    if values.ndim == 1:
+        return osc, float(osc.max())
+    return osc, osc.max(axis=1)
 
 
 def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     """Max oscillation of seminorm-normalized prior draws, per smoothness s.
 
-    For each s in s_grid: take `draws` prior samples over the full supplied
-    basis, rescale each to unit H^s seminorm, and record the maximum of the
-    osc statistic over all draws and points.  Draw j of a batch uses seed
-    seed + j; draws with seminorm below 1e-14 are redrawn from fresh offsets.
-    ValueError names s when no draw can reach that threshold: at once when
-    lambda_i^s * scale_i^2 is 0 for every mode (an eps-graph without edges),
-    otherwise after MAX_REDRAWS consecutive redraws of one draw.
+    Draw j reads ``default_rng(seed + j).standard_normal(n)`` as nodal white
+    noise z and takes the coefficients Psi^T z / sqrt(n) over the full
+    supplied basis, i.i.d. standard normal because Psi / sqrt(n) has
+    orthonormal columns.  One draw serves every s in s_grid: scaled by
+    (alpha + lambda_i)^(-s/4), it is f_s(L) z for a function f_s of the
+    Laplacian, so a rotation of the eigenvectors inside a repeated
+    eigenvalue (the solver's free choice) cancels, in the draw and in the
+    H^s seminorm it is rescaled to 1 by.  The result per s is the maximum
+    of the osc statistic over all draws and points.  A draw whose seminorm
+    at some s is below 1e-14 is redrawn for that s from fresh offsets
+    seed + draws + 1, + 2, ..., counted per s.  ValueError names s when no
+    draw can reach that threshold: at once when lambda_i^s * scale_i^2 is 0
+    for every mode (an eps-graph without edges), otherwise after
+    MAX_REDRAWS consecutive redraws of one draw.
+
+    Draws go in chunks of DRAW_CHUNK: one product with Psi^T gives their
+    coefficients, and one product with Psi synthesizes them at every s for
+    a single ``oscillation`` call.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive here; the constant mode is kept")
     lam = basis.eigenvalues
-    rows = []
-    for s in s_grid:
-        s = float(s)
-        # Scales computed directly: the study spans s at and below the
-        # intrinsic dimension on purpose, which PriorSpec would reject.
-        scales = (alpha + lam) ** (-s / 4.0)
-        if not np.any(lam**s * scales**2 > 0):
+    s_values = [float(s) for s in s_grid]
+    # Scales computed directly: the study spans s at and below the
+    # intrinsic dimension on purpose, which PriorSpec would reject.
+    scales = [(alpha + lam) ** (-s / 4.0) for s in s_values]
+    for s, scale in zip(s_values, scales):
+        if not np.any(lam**s * scale**2 > 0):
             raise ValueError(
                 "s=%g: the H^s weight lambda_i^s (alpha + lambda_i)^(-s/2) is 0 "
                 "for every mode, so no prior draw has a positive seminorm; the "
                 "eps-graph has no edges or its spectrum is too small (raise "
                 "eps_multiplier or calibration)" % s
             )
-        worst = 0.0
-        extra = 0
-        for j in range(draws):
-            attempt = seed + j
-            for _ in range(MAX_REDRAWS + 1):
-                rng = np.random.default_rng(attempt)
-                coeffs = scales * rng.standard_normal(basis.count)
-                sem = _seminorm(lam, coeffs, s)
-                if sem >= 1e-14:
-                    break
-                extra += 1
-                attempt = seed + draws + extra
-            else:
-                raise ValueError(
-                    "s=%g: %d consecutive prior draws had H^s seminorm below "
-                    "1e-14; the graph spectrum is too small for this s (raise "
-                    "calibration or eps_multiplier)" % (s, MAX_REDRAWS + 1)
-                )
-            u = CloudFunction.from_coefficients(basis, coeffs / np.sqrt(sem))
-            _, mx = oscillation(u, cloud, eps)
-            worst = max(worst, mx)
-        rows.append((s, worst))
-    return rows
+    psi = basis.eigenvectors
+    n = basis.n
+
+    def white_noise_coefficients(first, stop):
+        z = np.array([np.random.default_rng(a).standard_normal(n)
+                      for a in range(first, stop)])
+        return z @ psi / math.sqrt(n)
+
+    worst = np.zeros(len(s_values))
+    extra = [0] * len(s_values)
+    for lo in range(0, draws, DRAW_CHUNK):
+        xi = white_noise_coefficients(seed + lo,
+                                      seed + min(lo + DRAW_CHUNK, draws))
+        unit = []
+        for a, (s, scale) in enumerate(zip(s_values, scales)):
+            coeffs = scale * xi
+            sem = _seminorm(lam, coeffs, s)
+            for i in np.flatnonzero(sem < 1e-14):
+                for _ in range(MAX_REDRAWS):
+                    extra[a] += 1
+                    attempt = seed + draws + extra[a]
+                    coeffs[i] = scale * white_noise_coefficients(
+                        attempt, attempt + 1)[0]
+                    sem[i] = _seminorm(lam, coeffs[i], s)
+                    if sem[i] >= 1e-14:
+                        break
+                else:
+                    raise ValueError(
+                        "s=%g: %d consecutive prior draws had H^s seminorm "
+                        "below 1e-14; the graph spectrum is too small for "
+                        "this s (raise calibration or eps_multiplier)"
+                        % (s, MAX_REDRAWS + 1)
+                    )
+            unit.append(coeffs / np.sqrt(sem)[:, None])
+        _, maxima = oscillation(np.concatenate(unit) @ psi.T, cloud, eps)
+        worst = np.maximum(worst, maxima.reshape(len(s_values), -1).max(axis=1))
+    return [(s, float(w)) for s, w in zip(s_values, worst)]

@@ -15,9 +15,10 @@ convergence, and L - sigma*I stays positive definite.  The Lanczos start
 vector is a fixed function of n, which keeps every result bit-reproducible
 (ARPACK's default start vector is random).  These eigenpairs agree with the
 dense solver's to about 1e-13.  A basis with 2k >= n (the full spectrum the
-regularity study needs) comes from ``scipy.linalg.eigh`` on the dense matrix,
-the cheaper solver once ARPACK's Krylov space of about 2k+1 vectors would
-span all n dimensions.
+regularity study needs) comes from the divide-and-conquer solver of
+``scipy.linalg.eigh`` (``driver="evd"``) on the dense matrix, the cheaper
+solver once ARPACK's Krylov space of about 2k+1 vectors would span all n
+dimensions; it computes every pair and the first k are kept.
 """
 
 import numpy as np
@@ -71,11 +72,9 @@ class SpectralBasis:
 
 def _fix_signs(vecs):
     # largest-magnitude entry positive; np.argmax takes the lowest index on ties
-    for j in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return vecs
+    lead = np.argmax(np.abs(vecs), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    return np.negative(vecs, out=vecs, where=flip)
 
 
 def _shift_invert(mat, k):
@@ -98,8 +97,8 @@ def eigendecompose(lap, k):
     """The k smallest eigenpairs of a graph Laplacian, L^2(gamma_n)-orthonormal.
 
     With 2k < n, shift-invert Lanczos on the sparse matrix (see the module
-    docstring); otherwise ``scipy.linalg.eigh`` on the dense matrix.  The
-    cut depends on n and k only.  Eigenvalues within 1e-12 * max(1,
+    docstring); otherwise divide and conquer on the dense matrix.  The cut
+    depends on n and k only.  Eigenvalues within 1e-12 * max(1,
     |lambda_k|) of zero are snapped to exactly 0.
     """
     n = lap.n
@@ -110,7 +109,11 @@ def eigendecompose(lap, k):
         vals, vecs = _shift_invert(lap.matrix, k)
     else:
         solver = "dense"
-        vals, vecs = linalg.eigh(lap.dense(), subset_by_index=[0, k - 1])
+        # the transpose of the fresh symmetric array is Fortran-ordered, so
+        # LAPACK overwrites it with the eigenvectors instead of copying it
+        vals, vecs = linalg.eigh(lap.dense().T, driver="evd",
+                                 overwrite_a=True, check_finite=False)
+        vals, vecs = vals[:k], vecs[:, :k]
     # snap solver noise around the null modes to exact zero
     tiny = 1e-12 * max(1.0, float(abs(vals[-1])))
     vals = np.where(np.abs(vals) < tiny, 0.0, vals)

@@ -8,6 +8,7 @@ from graphheat import (
     CloudFunction,
     PointCloud,
     PriorSpec,
+    SpectralBasis,
     UNTRUNCATED,
     default_truncation,
     laplacian,
@@ -133,6 +134,19 @@ def test_ball_diagnostics_match_dense_reference(seed, d):
     assert i in indices[indptr[j]:indptr[j + 1]]
 
 
+def test_batched_oscillation_equals_single_calls(sphere120):
+    batch = np.random.default_rng(4).standard_normal((5, 120))
+    per_point, maxima = oscillation(batch, sphere120, 0.4)
+    assert per_point.shape == (5, 120) and maxima.shape == (5,)
+    for row, osc, worst in zip(batch, per_point, maxima):
+        single, single_worst = oscillation(row, sphere120, 0.4)
+        assert np.array_equal(osc, single)
+        assert worst == single_worst
+    for bad in (np.zeros((5, 119)), np.zeros((2, 5, 120))):
+        with pytest.raises(ValueError, match="expected 120 nodal values"):
+            oscillation(bad, sphere120, 0.4)
+
+
 def test_eps_balls_cached_per_eps(sphere120):
     cl = PointCloud(sphere120.points, 2)
     first = cl.eps_balls(0.4)
@@ -195,3 +209,87 @@ def test_regularity_experiment_validation(basis120, sphere120):
     basis, cl, eps = _regularity_inputs(300, 2.0, 1.0)
     with pytest.raises(ValueError, match="s=8.*calibration"):
         regularity_experiment(basis, cl, eps, (2, 8), draws=5, seed=700)
+
+
+def _white_noise_basis(eigenvalues, seed):
+    # an L^2(gamma_n)-orthonormal basis of R^n with the given eigenvalues
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return SpectralBasis(eigenvalues, q * np.sqrt(n), "dense", 0.0)
+
+
+def _reference_regularity(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
+    # the study one draw at a time: nodal noise, one gemv, a 1-D oscillation
+    n, lam, psi = basis.n, basis.eigenvalues, basis.eigenvectors
+    rows, redraws = [], 0
+    for s in s_grid:
+        scale = (alpha + lam) ** (-s / 4.0)
+        worst, extra = 0.0, 0
+        for j in range(draws):
+            attempt = seed + j
+            while True:
+                z = np.random.default_rng(attempt).standard_normal(n)
+                coeffs = scale * (psi.T @ z) / np.sqrt(n)
+                sem = np.sum(lam**s * coeffs**2)
+                if sem >= 1e-14:
+                    break
+                extra += 1
+                attempt = seed + draws + extra
+            u = psi @ (coeffs / np.sqrt(sem))
+            worst = max(worst, oscillation(u, cloud, eps)[1])
+        rows.append((float(s), worst))
+        redraws += extra
+    return rows, redraws
+
+
+def _assert_rows_close(got, ref):
+    assert [s for s, _ in got] == [s for s, _ in ref]
+    for (_, a), (_, b) in zip(got, ref):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_regularity_experiment_matches_per_draw_loop(graph120, sphere120):
+    # 40 draws span two full chunks and a partial one
+    basis = eigendecompose(laplacian(graph120, sphere_calibration(120)), 120)
+    got = regularity_experiment(basis, sphere120, 0.4, (2, 4, 6), draws=40,
+                                seed=3)
+    ref, redraws = _reference_regularity(basis, sphere120, 0.4, (2, 4, 6),
+                                         40, 3)
+    assert redraws == 0
+    _assert_rows_close(got, ref)
+
+
+def test_regularity_redraws_match_per_draw_loop():
+    # Two modes carry all of the s=2 seminorm, mu^2 / (1 + mu) times a
+    # chi-square with 2 degrees of freedom, which falls below 1e-14 for
+    # about half the draws; s=0 weighs every mode by 1 and never redraws.
+    n = 64
+    mu = 8.45e-8
+    basis = _white_noise_basis(np.r_[np.zeros(n - 2), mu, mu], seed=5)
+    cloud = sample_sphere(n, seed=6)
+    got = regularity_experiment(basis, cloud, 0.5, (0, 2), draws=20, seed=9)
+    ref, redraws = _reference_regularity(basis, cloud, 0.5, (0, 2), 20, 9)
+    assert 5 <= redraws
+    _assert_rows_close(got, ref)
+
+
+def test_regularity_experiment_is_gauge_free():
+    # The sphere's spectrum l(l+1), multiplicity 2l+1, held exactly: any
+    # orthonormal basis of an eigenspace, with any signs, is a valid
+    # eigenbasis, and the study must not depend on which one it is given.
+    l_max = 7
+    lam = np.repeat([l * (l + 1.0) for l in range(l_max + 1)],
+                    [2 * l + 1 for l in range(l_max + 1)])
+    basis = _white_noise_basis(lam, seed=1)
+    rng = np.random.default_rng(2)
+    rotated = basis.eigenvectors.copy()
+    for l in range(l_max + 1):
+        group = slice(l * l, (l + 1) ** 2)
+        q, _ = np.linalg.qr(rng.standard_normal((2 * l + 1, 2 * l + 1)))
+        rotated[:, group] = rotated[:, group] @ q
+    rotated *= rng.choice([-1.0, 1.0], size=lam.size)
+    other = SpectralBasis(lam, rotated, "dense", 0.0)
+    cloud = sample_sphere(lam.size, seed=4)
+    args = (cloud, 0.5, (2, 3, 4, 6), 20, 0)
+    _assert_rows_close(regularity_experiment(other, *args),
+                       regularity_experiment(basis, *args))

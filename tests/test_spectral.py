@@ -271,6 +271,46 @@ def test_solver_cut_at_half_the_cloud(n):
                               dense_side.eigenvectors[:, :k - 1])
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n,k", [(300, 300), (300, 200)])
+def test_dense_branch_matches_mrrr(n, k, seed):
+    # divide and conquer (evd) against the MRRR solver (evr) on the same
+    # matrix: eigenvalues, the sphere clusters' projectors, and a Laplacian
+    # left as it was by the in-place solve
+    lap = sphere_laplacian(n, seed)
+    before = lap.matrix.copy()
+    basis = eigendecompose(lap, k)
+    vals, vecs = linalg.eigh(lap.dense(), driver="evr",
+                             subset_by_index=[0, k - 1])
+    vecs = vecs * np.sqrt(n)
+    assert basis.solver == "dense"
+    assert basis.count == k
+    assert np.all(np.abs(basis.eigenvalues - vals)
+                  <= 1e-12 * np.maximum(1.0, np.abs(vals)))
+    for lo, hi in CLUSTERS:
+        got = basis.eigenvectors[:, lo:hi]
+        ref = vecs[:, lo:hi]
+        assert np.max(np.abs(got @ got.T - ref @ ref.T)) / n <= 1e-10
+    assert basis.residual <= 1e-10
+    assert (lap.matrix != before).nnz == 0
+    assert np.array_equal(lap.matrix.indptr, before.indptr)
+    assert np.array_equal(lap.matrix.indices, before.indices)
+    assert np.array_equal(lap.matrix.data, before.data)
+
+
+def test_fix_signs_rule():
+    # largest magnitude made positive; on a tie the lowest index decides
+    vecs = np.array([[-1.0, 1.0, 0.5, -0.0],
+                     [1.0, -1.0, -2.0, 0.0],
+                     [0.5, 0.0, 1.0, 0.0]])
+    fixed = _fix_signs(vecs.copy())
+    assert np.array_equal(fixed, [[1.0, 1.0, -0.5, -0.0],
+                                  [-1.0, -1.0, 2.0, 0.0],
+                                  [-0.5, 0.0, -1.0, 0.0]])
+    # a zero column has no sign to fix and is left bit for bit
+    assert np.array_equal(np.signbit(fixed[:, 3]), np.signbit(vecs[:, 3]))
+
+
 def test_graph_without_edges():
     # L = 0 has trace 0, so the shift cannot follow the matrix scale
     cloud = sample_sphere(50, seed=1)
