@@ -30,7 +30,6 @@ from .spectral import (
 )
 from .prior import (
     UNTRUNCATED,
-    CloudFunction,
     PriorSpec,
     default_truncation,
     oscillation,
@@ -41,9 +40,7 @@ from .forward import (
     ObservationDesign,
     design_matrix,
     first_p_design,
-    heat_continuum,
-    heat_graph,
-    observe_continuum,
+    heat,
 )
 from .likelihood import (
     LabeledData,
@@ -63,7 +60,6 @@ from .sampler import (
     stationary_acceptance,
 )
 from .oracle import (
-    CovarianceKernels,
     PosteriorSummary,
     coefficient_posterior,
     continuum_posterior,

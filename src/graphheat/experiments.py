@@ -16,8 +16,9 @@ and, when the labeled set is a prefix, share data.
 All result files are byte-deterministic for a given config at a fixed BLAS
 thread count; across thread counts the regularity study's values agree to
 about 1e-13 relative, because its draws do not depend on which eigenvectors
-the dense solver picks inside a near-repeated eigenvalue.  The manifest also records wall time and library versions, so only
-it differs between identical runs.  Its metrics name, per cloud size n, the
+the dense solver picks inside a near-repeated eigenvalue.  The manifest
+also records wall time and library versions, so only it differs between
+identical runs.  Its metrics name, per cloud size n, the
 eigensolver behind the bases (``eigensolver``) and their largest relative
 residual (``eigen_residual``).  Chain runs record the acceptance with
 burn-in (``acceptance``) and after it (``stationary_acceptance``); Gaussian
@@ -585,7 +586,7 @@ def _run_regularity(cfg, jobs):
 def _run_posterior(cfg, jobs):
     cl, basis, spec, data, _, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
     chain = pcn(basis, spec, phi, sc)
-    mean_fn = posterior_mean(chain, basis)
+    mean = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
     metrics = {
         "acceptance": acceptance_rate(chain),
@@ -593,22 +594,22 @@ def _run_posterior(cfg, jobs):
         "iact_u_x1": integrated_autocorr_time(trace),
     }
     header = ["x", "y", "z", "chain_mean"]
-    cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean_fn.values]
+    cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean]
     if cfg.noise == "gaussian":
         orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
         header += ["oracle_mean", "oracle_sd"]
         cols += [orc.mean, np.sqrt(orc.variance)]
         ref = l2_distance(orc.mean, np.zeros_like(orc.mean))
-        err = l2_distance(mean_fn.values, orc.mean)
+        err = l2_distance(mean, orc.mean)
         metrics["rel_l2_mean_error_vs_oracle"] = err / ref if ref else math.nan
     else:
         # probit: classify by the sign of the posterior mean, zero -> +1
         header += ["class"]
-        cols += [np.where(mean_fn.values >= 0.0, 1, -1)]
+        cols += [np.where(mean >= 0.0, 1, -1)]
     rows = list(zip(*[np.asarray(c, dtype=float) for c in cols]))
     files = {"posterior_mean.csv": _csv(header, rows)}
     grid = sphere_mc_grid(cfg.grid_size)
-    push = knn_interpolate(mean_fn, cl, 4, grid.points)   # k=4 for fields
+    push = knn_interpolate(mean, cl, 4, grid.points)   # k=4 for fields
     files["pushforward.csv"] = _csv(
         ("x", "y", "z", "value"),
         list(zip(grid.points[:, 0], grid.points[:, 1], grid.points[:, 2],
@@ -661,7 +662,7 @@ def _run_prior_sample(cfg, jobs):
              for j in range(cfg.draws)]
     header = ["x", "y", "z"] + ["draw_%d" % j for j in range(cfg.draws)]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2]]
-    cols += [d.values for d in draws]
+    cols += draws
     files = {"prior_draws.csv": _csv(header, list(zip(*cols)))}
     return files, {}, [(cfg.n, 0, basis.solver, basis.residual)]
 

@@ -1,8 +1,8 @@
-"""Heat-semigroup forward maps and pointwise observation; their composition.
+"""The heat-semigroup forward map and pointwise observation; their composition.
 
-The heat map damps KL coefficients by exp(-lambda_i t) and acts only on the
-retained eigenspan; inputs with components outside it are projected first.
-Observation evaluates a function at the labeled points, so G = O o F on KL
+The heat map ``heat`` damps KL coefficients by exp(-lambda_i t), the same
+map on a graph eigenbasis and on the sphere's harmonics.  Observation
+evaluates a function at the labeled points, so G = O o F on KL
 coefficients is ``design_matrix``: the labeled eigenvector rows damped by
 exp(-lambda_i t).  It is the one place that builds observation rows, for
 the chains and the closed-form posterior alike.
@@ -11,8 +11,6 @@ the chains and the closed-form posterior alike.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .prior import CloudFunction, _coefficients
 
 
 @dataclass(frozen=True)
@@ -44,29 +42,17 @@ def first_p_design(p):
     return ObservationDesign(tuple(range(p)))
 
 
-def heat_graph(u, basis, t):
-    """Apply exp(-t * Laplacian) on the retained span: a_i -> exp(-lambda_i t) a_i.
+def heat(coeffs, basis, t):
+    """The heat map exp(-t L) on KL coefficients: a_i -> exp(-lambda_i t) a_i.
 
-    Nodal-only inputs are projected onto the basis first.
+    basis is a SpectralBasis or a ContinuumBasis; coeffs is one coefficient
+    vector or a matrix with one row per vector, of length at most
+    basis.count.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    coeffs = _coefficients(u, basis)
-    damped = coeffs * np.exp(-basis.eigenvalues[: coeffs.shape[0]] * t)
-    return CloudFunction.from_coefficients(basis, damped)
-
-
-def heat_continuum(coeffs, cont, t):
-    """Damp harmonic coefficients by exp(-l(l+1) t)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs * np.exp(-cont.eigenvalues[: coeffs.shape[0]] * t)
-
-
-def observe_continuum(coeffs, cont, design, cloud):
-    """Evaluate a harmonic expansion at the labeled cloud points."""
-    return cont.synthesize(coeffs, cloud.points[list(design.labeled)])
+    return coeffs * np.exp(-basis.eigenvalues[:coeffs.shape[-1]] * t)
 
 
 def design_matrix(basis, t, design):
@@ -76,10 +62,7 @@ def design_matrix(basis, t, design):
     G(u) = M a for KL coefficient vectors a.  Computed once and shared by
     all chains; the closed-form posterior reads the same rows.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     if any(i >= basis.n for i in design.labeled):
         raise ValueError("labeled index out of range for cloud of size %d"
                          % basis.n)
-    rows = basis.eigenvectors[list(design.labeled)]
-    return rows * np.exp(-basis.eigenvalues * t)[None, :]
+    return heat(basis.eigenvectors[list(design.labeled)], basis, t)

@@ -30,7 +30,7 @@ DEFAULT_GRID_SIZE = 10**4
 def knn_interpolate(u, cloud, k, queries):
     """Mean of the k nearest nodal values at each query point.
 
-    u is a CloudFunction or an array of cloud.n nodal values.
+    u is an array of cloud.n nodal values.
     """
     values = _nodal_values(u, cloud)
     idx = _nearest_indices(cloud, queries, k)

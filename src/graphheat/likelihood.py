@@ -117,8 +117,8 @@ def synthesize_data(u_truth, carrier, t, design, cloud, model, seed):
     if not isinstance(carrier, ContinuumBasis):
         raise ValueError("carrier must be a ContinuumBasis, got %s"
                          % type(carrier).__name__)
-    w = forward.observe_continuum(forward.heat_continuum(u_truth, carrier, t),
-                                  carrier, design, cloud)
+    w = carrier.synthesize(forward.heat(u_truth, carrier, t),
+                           cloud.points[list(design.labeled)])
     rng = np.random.default_rng(seed)
     noisy = w + model.sigma * rng.standard_normal(w.shape[0])
     if model.kind == GAUSSIAN:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .forward import design_matrix
+from .forward import design_matrix, heat
 from .likelihood import GAUSSIAN
 
 
@@ -49,27 +49,6 @@ class PosteriorSummary:
 
     mean: np.ndarray
     variance: np.ndarray
-
-
-class CovarianceKernels:
-    """The prior kernel c_u over a truncated graph eigenbasis.
-
-    d_u holds the prior variances (alpha+lambda_i)^(-s/2) of the retained
-    modes and psi their eigenvectors; prior_variance() is c_u(x, x) at every
-    node.  c_u does not depend on the heat time t; the argument is kept so
-    callers pass the same (spec, t, basis) as to graph_posterior.
-    """
-
-    def __init__(self, spec, t, basis):
-        self.d_u = spec.truncated_scales(basis) ** 2
-        self.psi = basis.eigenvectors[:, :self.d_u.shape[0]]
-
-    def prior_variance(self):
-        return (self.psi**2) @ self.d_u
-
-
-def covariance_kernels(spec, t, basis):
-    return CovarianceKernels(spec, t, basis)
 
 
 def _whitened_svd(mat, d_u, y, sigma):
@@ -160,10 +139,11 @@ def graph_posterior(data, basis, spec, t, sigma):
     """
     if data.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
-    kern = CovarianceKernels(spec, t, basis)
-    rows = design_matrix(basis, t, data.design)[:, :kern.d_u.shape[0]]
-    mean, cov = coefficient_posterior(rows, kern.d_u, data.y, sigma)
-    return _at(kern.psi, mean, cov)
+    d_u = spec.truncated_scales(basis) ** 2
+    k = d_u.shape[0]
+    rows = design_matrix(basis, t, data.design)[:, :k]
+    mean, cov = coefficient_posterior(rows, d_u, data.y, sigma)
+    return _at(basis.eigenvectors[:, :k], mean, cov)
 
 
 def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
@@ -175,6 +155,5 @@ def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
         raise ValueError("closed-form posterior requires gaussian noise")
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
     rows = cont.evaluate(cloud.points[list(data.design.labeled)])
-    mean, cov = coefficient_posterior(
-        rows * np.exp(-cont.eigenvalues * t)[None, :], d_u, data.y, sigma)
+    mean, cov = coefficient_posterior(heat(rows, cont, t), d_u, data.y, sigma)
     return _at(cont.evaluate(np.atleast_2d(query_points)), mean, cov)

@@ -77,26 +77,6 @@ class PriorSpec:
         return self.coefficient_scales(basis.eigenvalues[:k])
 
 
-class CloudFunction:
-    """A function on the cloud: nodal values, optionally KL coefficients."""
-
-    def __init__(self, values, coefficients=None, basis=None):
-        self.values = np.asarray(values, dtype=float)
-        self.coefficients = (
-            None if coefficients is None else np.asarray(coefficients, dtype=float)
-        )
-        self.basis = basis
-
-    @classmethod
-    def from_coefficients(cls, basis, coefficients):
-        coefficients = np.asarray(coefficients, dtype=float)
-        return cls(basis.synthesize(coefficients), coefficients, basis)
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
 def default_truncation(n, eps, m):
     """Truncation rule k_n = max(2, floor(eps^-m / log n)), clamped to n.
 
@@ -112,17 +92,10 @@ def default_truncation(n, eps, m):
 
 
 def sample_graph_prior(basis, spec, seed):
-    """One prior draw in a graph eigenbasis; coefficients are stored."""
+    """One prior draw in a graph eigenbasis, as nodal values."""
     scales = spec.truncated_scales(basis)
     rng = np.random.default_rng(seed)
-    coeffs = scales * rng.standard_normal(scales.shape[0])
-    return CloudFunction.from_coefficients(basis, coeffs)
-
-
-def _coefficients(u, basis):
-    if u.coefficients is not None and u.basis is basis:
-        return u.coefficients
-    return basis.project(u.values)
+    return basis.synthesize(scales * rng.standard_normal(scales.shape[0]))
 
 
 def _seminorm(eigenvalues, coeffs, s):
@@ -132,7 +105,7 @@ def _seminorm(eigenvalues, coeffs, s):
 
 
 def _nodal_values(u, cloud):
-    values = u.values if isinstance(u, CloudFunction) else np.asarray(u, dtype=float)
+    values = np.asarray(u, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != cloud.n:
         raise ValueError(
             "expected %d nodal values, got shape %s" % (cloud.n, values.shape)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import CloudFunction
-
 logger = logging.getLogger(__name__)
 
 # Kept states per chain between readout products.  A product over a block
@@ -66,7 +64,7 @@ class SamplerConfig:
 
 
 class ChainResult:
-    """Retained states or their readout, the acceptance ledger, potentials.
+    """Retained states or their readout, and the acceptance ledger.
 
     Attributes
     ----------
@@ -78,18 +76,15 @@ class ChainResult:
         Acceptance ledger over all iterations.
     stationary_accepted : int
         Accepts among the proposed - burn_in steps after burn-in.
-    potentials : (iterations,) array
-        Potential of the state after each iteration.
     """
 
-    def __init__(self, samples, accepted, proposed, potentials, config,
+    def __init__(self, samples, accepted, proposed, config,
                  stationary_accepted=0, trace=None):
         self.samples = samples
         self.trace = trace
         self.accepted = int(accepted)
         self.proposed = int(proposed)
         self.stationary_accepted = int(stationary_accepted)
-        self.potentials = potentials
         self.config = config
 
     @property
@@ -166,8 +161,6 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
         traces = [np.empty(n_kept) for _ in range(chains)]
     ends = iter(ends)
     row, start, end = 0, 0, next(ends)
-    log = np.empty((chains, config.iterations))
-    logs = list(log)
     uniforms = np.empty(chains)
     accepted = [0] * chains
     before = None            # accepts before burn-in, copied at that step
@@ -194,7 +187,6 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
                 states[c][:] = cands[c]
                 phi[c] = phi_cand
                 accepted[c] += 1
-            logs[c][j] = phi[c]
         if j in kept:
             block[:, row - start] = state
             row += 1
@@ -203,7 +195,7 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
                     traces[c][start:end] = block[c, :end - start] @ readouts[c]
                 start, end = end, next(ends, None)
     return [ChainResult(block[c] if readouts is None else None, accepted[c],
-                        config.iterations, log[c], configs[c],
+                        config.iterations, configs[c],
                         stationary_accepted=accepted[c] - before[c],
                         trace=None if readouts is None else traces[c])
             for c in order]
@@ -250,10 +242,10 @@ def stationary_acceptance(chain):
 
 
 def posterior_mean(chain, basis):
-    """Coefficient-wise mean of the retained samples, as a cloud function."""
+    """Coefficient-wise mean of the retained samples, as nodal values."""
     if chain.n_retained == 0:
         raise ValueError("no retained samples")
-    return CloudFunction.from_coefficients(basis, chain.samples.mean(axis=0))
+    return basis.synthesize(chain.samples.mean(axis=0))
 
 
 def _autocovariance(x):

@@ -57,10 +57,6 @@ class SpectralBasis:
     def n(self):
         return self.eigenvectors.shape[0]
 
-    def project(self, values):
-        """Coefficients a_i = <u, psi_i> in L^2(gamma_n)."""
-        return self.eigenvectors.T @ np.asarray(values, dtype=float) / self.n
-
     def synthesize(self, coeffs):
         """Nodal values sum_i a_i psi_i for a coefficient vector of length <= k."""
         coeffs = np.asarray(coeffs, dtype=float)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from graphheat import (
-    CloudFunction,
     ExperimentConfig,
     LabeledData,
     PriorSpec,
@@ -22,14 +21,13 @@ from graphheat import (
     eigendecompose,
     first_p_design,
     graph_posterior,
-    heat_graph,
+    heat,
     laplacian,
     pcn,
     run_experiment,
     sample_sphere,
     sphere_calibration,
 )
-from graphheat.oracle import covariance_kernels
 
 N_GRID = (300, 600, 900, 1200, 1500, 2000)
 CHAIN = dict(iterations=100000, burn_in=10000)
@@ -179,17 +177,18 @@ def test_criterion_7_structure_suite():
     gram = basis.eigenvectors.T @ basis.eigenvectors / n
     checks["orthonormal basis"] = np.max(np.abs(gram - np.eye(20))) < 1e-8
 
-    u = CloudFunction.from_coefficients(basis, rng.standard_normal(20))
-    v = CloudFunction.from_coefficients(basis, rng.standard_normal(20))
-    two_step = heat_graph(heat_graph(u, basis, 0.3), basis, 0.2)
+    u = rng.standard_normal(20)
+    v = rng.standard_normal(20)
+    nodal = basis.synthesize
+    two_step = heat(heat(u, basis, 0.3), basis, 0.2)
     checks["semigroup law"] = np.allclose(
-        two_step.values, heat_graph(u, basis, 0.5).values, atol=1e-10)
+        nodal(two_step), nodal(heat(u, basis, 0.5)), atol=1e-10)
     norm = lambda w: math.sqrt(float(np.mean(w**2)))
     checks["contraction"] = (
-        norm(heat_graph(u, basis, 0.4).values) <= norm(u.values) + 1e-12
+        norm(nodal(heat(u, basis, 0.4))) <= norm(nodal(u)) + 1e-12
     )
-    lhs = float(np.mean(heat_graph(u, basis, 0.4).values * v.values))
-    rhs = float(np.mean(u.values * heat_graph(v, basis, 0.4).values))
+    lhs = float(np.mean(nodal(heat(u, basis, 0.4)) * nodal(v)))
+    rhs = float(np.mean(nodal(u) * nodal(heat(v, basis, 0.4))))
     checks["self-adjointness"] = abs(lhs - rhs) < 1e-10
 
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=20, m=2)
@@ -198,7 +197,8 @@ def test_criterion_7_structure_suite():
     yb = LabeledData(rng.standard_normal(40), design, 0.1, "gaussian", 0.1)
     pa = graph_posterior(ya, basis, spec, 0.1, 0.1)
     pb = graph_posterior(yb, basis, spec, 0.1, 0.1)
-    prior_var = covariance_kernels(spec, 0.1, basis).prior_variance()
+    prior_var = ((basis.eigenvectors[:, :20] ** 2)
+                 @ spec.truncated_scales(basis) ** 2)
     checks["posterior variance bound"] = bool(
         np.all(pa.variance <= prior_var + 1e-12)
         and np.all(pa.variance >= 0)

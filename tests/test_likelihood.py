@@ -8,13 +8,14 @@ from graphheat import (
     ContinuumBasis,
     LabeledData,
     NoiseModel,
+    ObservationDesign,
     first_p_design,
+    heat,
     potential,
     potential_from_design_matrix,
     sample_sphere,
     synthesize_data,
 )
-from graphheat.prior import CloudFunction
 
 
 def gaussian_data(y, sigma=0.5, t=0.0):
@@ -145,6 +146,21 @@ def test_synthesize_gaussian_continuum():
     assert data.kind == "gaussian"
 
 
+def test_synthesize_evaluates_then_damps_coefficients():
+    # the noiseless labels are the harmonics at the labeled points times the
+    # heat-damped coefficients, in that order, bit for bit; damping the
+    # evaluated rows instead rounds differently
+    cl = sample_sphere(40, seed=4)
+    cont = ContinuumBasis(3)
+    coeffs = np.random.default_rng(8).standard_normal(cont.count)
+    design = ObservationDesign((3, 17, 0, 25))
+    model = NoiseModel("gaussian", 0.2)
+    data = synthesize_data(coeffs, cont, 0.3, design, cl, model, seed=9)
+    clean = cont.evaluate(cl.points[[3, 17, 0, 25]]) @ heat(coeffs, cont, 0.3)
+    noise = 0.2 * np.random.default_rng(9).standard_normal(4)
+    assert np.array_equal(data.y, clean + noise)
+
+
 def test_synthesize_probit_labels():
     cl = sample_sphere(50, seed=3)
     cont = ContinuumBasis(2)
@@ -155,7 +171,7 @@ def test_synthesize_probit_labels():
 
 
 def test_synthesize_graph_carrier(basis120, sphere120):
-    u = CloudFunction.from_coefficients(basis120, np.eye(basis120.count)[1])
+    u = np.eye(basis120.count)[1]
     model = NoiseModel("gaussian", 0.05)
     # labels come from the continuum truth only; a graph basis is refused
     with pytest.raises(ValueError, match="carrier"):

@@ -27,7 +27,12 @@ from graphheat import (
     predicted_acceptance,
     sample_sphere,
 )
-from graphheat.oracle import covariance_kernels
+
+
+def prior_variance(spec, basis):
+    # c_u(x, x) = sum_i d_i psi_i(x)^2 over the retained modes
+    d_u = spec.truncated_scales(basis) ** 2
+    return (basis.eigenvectors[:, :d_u.shape[0]] ** 2) @ d_u
 
 
 def two_node_setup():
@@ -74,12 +79,11 @@ def test_variance_ignores_labels():
 
 def test_posterior_variance_below_prior(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
-    kern = covariance_kernels(spec, 0.2, basis120)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(25)
     data = LabeledData(y, first_p_design(25), 0.2, "gaussian", 0.1)
     post = graph_posterior(data, basis120, spec, 0.2, 0.1)
-    prior_var = kern.prior_variance()
+    prior_var = prior_variance(spec, basis120)
     assert np.all(post.variance <= prior_var + 1e-12)
     assert np.all(post.variance >= 0.0)
 
@@ -89,14 +93,15 @@ def test_kernel_damping_relations(basis120):
     # and c_w the prior series damped by exp(-2 lambda t) and exp(-lambda t).
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=10)
     t, sigma = 0.4, 0.3
-    kern = covariance_kernels(spec, t, basis120)
     lam = basis120.eigenvalues[:10]
-    assert np.array_equal(kern.d_u, spec.coefficient_scales(lam) ** 2)
+    d_u = spec.coefficient_scales(lam) ** 2
+    assert np.array_equal(spec.truncated_scales(basis120) ** 2, d_u)
     psi = basis120.eigenvectors[:, :10]
-    c_u = psi @ np.diag(kern.d_u) @ psi.T
-    c_v = psi @ np.diag(kern.d_u * np.exp(-2.0 * lam * t)) @ psi.T
-    c_w = psi @ np.diag(kern.d_u * np.exp(-lam * t)) @ psi.T
-    assert np.allclose(kern.prior_variance(), np.diag(c_u), rtol=1e-12)
+    c_u = psi @ np.diag(d_u) @ psi.T
+    c_v = psi @ np.diag(d_u * np.exp(-2.0 * lam * t)) @ psi.T
+    c_w = psi @ np.diag(d_u * np.exp(-lam * t)) @ psi.T
+    assert np.allclose(prior_variance(spec, basis120), np.diag(c_u),
+                       rtol=1e-12)
     obs = [0, 5, 9]
     y = np.array([0.3, -0.2, 0.8])
     data = LabeledData(y, ObservationDesign(obs), t, "gaussian", sigma)
@@ -125,11 +130,11 @@ def test_weak_noise_recovers_labels(basis120):
 
 def test_strong_noise_reverts_to_prior(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=20)
-    kern = covariance_kernels(spec, 0.1, basis120)
     data = LabeledData(np.array([5.0]), first_p_design(1), 0.1, "gaussian", 1e6)
     post = graph_posterior(data, basis120, spec, 0.1, 1e6)
     assert np.max(np.abs(post.mean)) < 1e-6
-    assert np.allclose(post.variance, kern.prior_variance(), rtol=1e-6)
+    assert np.allclose(post.variance, prior_variance(spec, basis120),
+                       rtol=1e-6)
 
 
 def test_near_zero_noise_jitter_path(basis120):

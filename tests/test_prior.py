@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphheat import (
-    CloudFunction,
     PointCloud,
     PriorSpec,
     SpectralBasis,
@@ -68,24 +67,24 @@ def test_sample_graph_prior_deterministic(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=6)
     a = sample_graph_prior(basis120, spec, seed=42)
     b = sample_graph_prior(basis120, spec, seed=42)
-    assert np.array_equal(a.coefficients, b.coefficients)
-    assert a.coefficients.shape == (6,)
-    assert a.values.shape == (120,)
-    assert np.allclose(a.values, basis120.synthesize(a.coefficients))
+    assert np.array_equal(a, b)
+    assert a.shape == (120,)
+    # the six retained modes' scales times the seed's standard normals
+    coeffs = spec.truncated_scales(basis120) * \
+        np.random.default_rng(42).standard_normal(6)
+    assert np.array_equal(a, basis120.synthesize(coeffs))
 
 
 def test_hs_seminorm_single_mode(basis120):
-    u = CloudFunction.from_coefficients(
-        basis120, np.eye(basis120.count)[3] * 2.0
-    )
+    coeffs = np.eye(basis120.count)[3] * 2.0
     lam = basis120.eigenvalues[3]
-    assert _seminorm(basis120.eigenvalues, u.coefficients, 4.0) == \
+    assert _seminorm(basis120.eigenvalues, coeffs, 4.0) == \
         pytest.approx(4.0 * lam**4, rel=1e-10)
 
 
 def test_hs_seminorm_ignores_constant(basis120):
-    u = CloudFunction(np.full(120, 9.0))
-    coeffs = basis120.project(u.values)
+    # the L^2(gamma_n) coefficients <u, psi_i> of a constant function
+    coeffs = basis120.eigenvectors.T @ np.full(120, 9.0) / 120
     assert _seminorm(basis120.eigenvalues, coeffs, 3.0) == \
         pytest.approx(0.0, abs=1e-16)
 

