@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .cloud import PointCloud, sample_sphere
 from .graph import (
     GeometricGraph,
-    GraphLaplacian,
     build_eps_graph,
     default_eps,
     kernel_weight,
@@ -36,14 +35,8 @@ from .prior import (
     regularity_experiment,
     sample_graph_prior,
 )
-from .forward import (
-    ObservationDesign,
-    design_matrix,
-    first_p_design,
-    heat,
-)
+from .forward import design_matrix, heat
 from .likelihood import (
-    LabeledData,
     NoiseModel,
     potential,
     potential_from_design_matrix,

@@ -11,7 +11,7 @@ seed 500+seed+r and chain seed 900+seed+r (``_seed_record``).  Prior draw j
 uses seed 700+seed+j; regularity redraws start at 700+seed+draws+1.  Clouds
 sampled at different n with the same seed are nested (the smaller is a
 prefix of the larger), so sweep points at a fixed replicate share geometry
-and, when the labeled set is a prefix, share data.
+and data.
 
 All result files are byte-deterministic for a given config at a fixed BLAS
 thread count; across thread counts the regularity study's values agree to
@@ -48,10 +48,11 @@ import numpy as np
 
 from . import __version__
 from .cloud import sample_sphere
-from .forward import design_matrix, first_p_design
+from .forward import design_matrix
 from .graph import build_eps_graph, default_eps, laplacian, sphere_calibration
 from .interpolate import knn_interpolate, sphere_mc_grid, l2_distance
-from .likelihood import NoiseModel, potential_from_design_matrix, synthesize_data
+from .likelihood import (NoiseModel, potential_from_design_matrix,
+                         synthesize_data)
 from .oracle import continuum_posterior, graph_posterior, predicted_acceptance
 from .prior import (PriorSpec, default_truncation, regularity_experiment,
                     sample_graph_prior)
@@ -315,14 +316,13 @@ def _problem(cfg, n, replicate, p=None):
     kn = _truncation(cfg, cl)
     basis, _ = _basis(cfg, cl, kn)
     spec = PriorSpec(alpha=cfg.alpha, s=cfg.s, k_n=kn, m=cl.intrinsic_dim)
-    data = None
+    y = None
     if p is not None:
         cont = ContinuumBasis(cfg.l_max)
         seed = _seed_record(cfg, n, replicate)["data_seed"]
-        data = synthesize_data(truth_coefficients(cont), cont, cfg.t,
-                               first_p_design(p), cl,
-                               NoiseModel(cfg.noise, cfg.sigma), seed=seed)
-    return cl, basis, spec, data
+        y = synthesize_data(truth_coefficients(cont), cont, cfg.t, p, cl,
+                            NoiseModel(cfg.noise, cfg.sigma), seed=seed)
+    return cl, basis, spec, y
 
 
 def _chain_problem(cfg, n, p, replicate):
@@ -331,14 +331,14 @@ def _chain_problem(cfg, n, p, replicate):
     Returns the problem, the design matrix, the misfit potential and the
     chain's config.
     """
-    cl, basis, spec, data = _problem(cfg, n, replicate, p)
-    mat = design_matrix(basis, cfg.t, data.design)
-    phi = potential_from_design_matrix(mat, data,
+    cl, basis, spec, y = _problem(cfg, n, replicate, p)
+    mat = design_matrix(basis, cfg.t, p)
+    phi = potential_from_design_matrix(mat, y,
                                        NoiseModel(cfg.noise, cfg.sigma))
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
                        burn_in=cfg.burn_in, thinning=cfg.thinning,
                        seed=_seed_record(cfg, n, replicate)["chain_seed"])
-    return cl, basis, spec, data, mat, phi, sc
+    return cl, basis, spec, y, mat, phi, sc
 
 
 def _eigensolver_metrics(points):
@@ -370,12 +370,11 @@ def _sweep_points(cfg, pairs):
     problems = []
     for n, replicate in pairs:
         p = n if cfg.kind == "supervised-sweep" else cfg.p
-        _, basis, spec, data, mat, phi, sc = _chain_problem(cfg, n, p,
-                                                            replicate)
+        _, basis, spec, y, mat, phi, sc = _chain_problem(cfg, n, p, replicate)
         predicted = None
         if cfg.noise == "gaussian":
             predicted = predicted_acceptance(
-                mat, spec.truncated_scales(basis) ** 2, data.y, cfg.sigma,
+                mat, spec.truncated_scales(basis) ** 2, y, cfg.sigma,
                 cfg.beta, seed=sc.seed)
         problems.append((basis, spec, phi, sc, predicted))
     groups = {}
@@ -404,8 +403,9 @@ def _compare_points(cfg, pairs):
 
 
 def _compare_point(cfg, n, replicate):
-    cl, basis, spec, data = _problem(cfg, n, replicate, cfg.p)
-    orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
+    cl, basis, spec, y = _problem(cfg, n, replicate, cfg.p)
+    model = NoiseModel(cfg.noise, cfg.sigma)
+    orc = graph_posterior(y, basis, spec, cfg.t, model)
     grid = sphere_mc_grid(cfg.grid_size)
     push = knn_interpolate(orc.mean, cl, cfg.knn_k, grid.points)
     # Continuum prior truncated at the same harmonic count as the graph
@@ -413,8 +413,8 @@ def _compare_point(cfg, n, replicate):
     l_cont = 0
     while (l_cont + 2) ** 2 <= spec.k_n and l_cont < cfg.l_max:
         l_cont += 1
-    co = continuum_posterior(data, ContinuumBasis(l_cont), spec, cfg.t,
-                             cfg.sigma, grid.points, cl)
+    co = continuum_posterior(y, ContinuumBasis(l_cont), spec, cfg.t, model,
+                             grid.points, cl)
     return {"distance": float(l2_distance(push, co.mean)),
             "solver": basis.solver, "residual": basis.residual}
 
@@ -584,7 +584,7 @@ def _run_regularity(cfg, jobs):
 
 
 def _run_posterior(cfg, jobs):
-    cl, basis, spec, data, _, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
+    cl, basis, spec, y, _, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
     chain = pcn(basis, spec, phi, sc)
     mean = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
@@ -596,7 +596,8 @@ def _run_posterior(cfg, jobs):
     header = ["x", "y", "z", "chain_mean"]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean]
     if cfg.noise == "gaussian":
-        orc = graph_posterior(data, basis, spec, cfg.t, cfg.sigma)
+        orc = graph_posterior(y, basis, spec, cfg.t,
+                              NoiseModel(cfg.noise, cfg.sigma))
         header += ["oracle_mean", "oracle_sd"]
         cols += [orc.mean, np.sqrt(orc.variance)]
         ref = l2_distance(orc.mean, np.zeros_like(orc.mean))

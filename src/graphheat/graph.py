@@ -64,7 +64,6 @@ class GeometricGraph:
     """
 
     def __init__(self, weights, n_components):
-        self.n = weights.shape[0]
         self.weights = weights
         self.n_components = int(n_components)
 
@@ -102,23 +101,9 @@ def build_eps_graph(cloud, eps):
     return GeometricGraph(weights, ncomp)
 
 
-class GraphLaplacian:
-    """calibration * (D - W): sparse, symmetric, positive semi-definite."""
-
-    def __init__(self, graph, calibration=1.0):
-        if calibration <= 0:
-            raise ValueError("calibration must be positive")
-        degrees = np.asarray(graph.weights.sum(axis=1)).ravel()
-        lap = sparse.diags(degrees) - graph.weights
-        self.matrix = (calibration * lap).tocsr()
-        self.n = graph.n
-
-    def dense(self):
-        a = self.matrix.toarray()
-        return 0.5 * (a + a.T)  # symmetrize away roundoff
-
-
 def laplacian(graph, calibration=1.0):
-    """Assemble the unnormalized graph Laplacian D - W, scaled by calibration."""
-    return GraphLaplacian(graph, calibration)
-
+    """calibration * (D - W) as CSR: symmetric, positive semi-definite."""
+    if calibration <= 0:
+        raise ValueError("calibration must be positive")
+    degrees = np.asarray(graph.weights.sum(axis=1)).ravel()
+    return (calibration * (sparse.diags(degrees) - graph.weights)).tocsr()

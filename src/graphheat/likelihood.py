@@ -33,35 +33,24 @@ class NoiseModel:
             raise ValueError("sigma must be positive")
 
 
-@dataclass(frozen=True)
-class LabeledData:
-    """Label vector with the design and synthesis parameters it came from."""
-
-    y: np.ndarray
-    design: forward.ObservationDesign
-    t: float
-    kind: str
-    sigma: float
-    seed: int = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        if y.shape != (self.design.p,):
-            raise ValueError("label vector length must match the design")
-        if self.kind == PROBIT and not np.all(np.abs(y) == 1.0):
-            raise ValueError("probit labels must be exactly +-1")
+def _labels(y, model):
+    # labels are a vector over the first len(y) points; probit ones are +-1
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("labels must be a vector, got shape %s" % (y.shape,))
+    if model.kind == PROBIT and not np.all(np.abs(y) == 1.0):
+        raise ValueError("probit labels must be exactly +-1")
+    return y
 
 
-def potential(w, data, model):
+def potential(w, y, model):
     """Misfit phi^y(w) of predicted observations w against the labels.
 
     The probit branch evaluates log Psi through a stable log-CDF, so very
     negative margins give large finite potentials instead of overflowing.
     """
     w = np.asarray(w, dtype=float)
-    y = data.y
+    y = _labels(y, model)
     if w.shape != y.shape:
         raise ValueError("prediction/label dimension mismatch")
     if model.kind == GAUSSIAN:
@@ -70,7 +59,7 @@ def potential(w, data, model):
     return float(-np.sum(log_ndtr(y * w / model.sigma)))
 
 
-def potential_from_design_matrix(mat, data, model):
+def potential_from_design_matrix(mat, y, model):
     """Closure a -> phi^y(M a) for coefficient-space samplers.
 
     mat is the p x k design matrix of G, one row per label.  Gaussian noise
@@ -79,11 +68,11 @@ def potential_from_design_matrix(mat, data, model):
     noise evaluates the p margins in one buffer, so no call allocates.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != data.y.shape[0]:
+    y = _labels(y, model)
+    if mat.ndim != 2 or mat.shape[0] != y.shape[0]:
         raise ValueError("design matrix shape %s does not match label shape %s"
-                         % (mat.shape, data.y.shape))
+                         % (mat.shape, y.shape))
     if model.kind == GAUSSIAN:
-        y = data.y
         inv_sigma2 = 1.0 / model.sigma**2
         half_h = (0.5 * inv_sigma2) * (mat.T @ mat)
         g = inv_sigma2 * (mat.T @ y)
@@ -94,7 +83,7 @@ def potential_from_design_matrix(mat, data, model):
 
         return phi
 
-    y_over_sigma = data.y / model.sigma
+    y_over_sigma = y / model.sigma
     w = np.empty(mat.shape[0])
 
     def phi(a):
@@ -107,8 +96,8 @@ def potential_from_design_matrix(mat, data, model):
     return phi
 
 
-def synthesize_data(u_truth, carrier, t, design, cloud, model, seed):
-    """Draw labels from the model at the forward image of a ground truth.
+def synthesize_data(u_truth, carrier, t, p, cloud, model, seed):
+    """The label vector at the first p cloud points, drawn from the model.
 
     gaussian: y = G(u) + eta, eta ~ N(0, sigma^2 I).  probit: y is the sign of
     the same noisy vector, with exact zeros mapped to +1.  u_truth is a
@@ -117,12 +106,12 @@ def synthesize_data(u_truth, carrier, t, design, cloud, model, seed):
     if not isinstance(carrier, ContinuumBasis):
         raise ValueError("carrier must be a ContinuumBasis, got %s"
                          % type(carrier).__name__)
+    if not 1 <= p <= cloud.n:
+        raise ValueError("need 1 <= p <= n, got p=%d n=%d" % (p, cloud.n))
     w = carrier.synthesize(forward.heat(u_truth, carrier, t),
-                           cloud.points[list(design.labeled)])
+                           cloud.points[:p])
     rng = np.random.default_rng(seed)
     noisy = w + model.sigma * rng.standard_normal(w.shape[0])
     if model.kind == GAUSSIAN:
-        y = noisy
-    else:
-        y = np.where(noisy >= 0.0, 1.0, -1.0)
-    return LabeledData(y, design, float(t), model.kind, model.sigma, seed)
+        return noisy
+    return np.where(noisy >= 0.0, 1.0, -1.0)

@@ -58,6 +58,9 @@ def _whitened_svd(mat, d_u, y, sigma):
     past len(s) span the directions the labels do not see.
     """
     mat = np.asarray(mat, dtype=float)
+    if np.ndim(y) != 1:
+        raise ValueError("labels must be a vector, got shape %s"
+                         % (np.shape(y),))
     p, k = len(y), len(d_u)
     if mat.shape != (p, k):
         raise ValueError("design shape %s does not match %d labels and %d "
@@ -131,29 +134,30 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     return total / draws
 
 
-def graph_posterior(data, basis, spec, t, sigma):
+def graph_posterior(y, basis, spec, t, model):
     """Closed-form posterior mean/variance at every node of the graph.
 
-    The observation rows are the design matrix the chains use, cut to the
-    prior's k retained modes.
+    y holds the labels at the first len(y) nodes.  The observation rows are
+    the design matrix the chains use, cut to the prior's k retained modes.
     """
-    if data.kind != GAUSSIAN:
+    if model.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
     d_u = spec.truncated_scales(basis) ** 2
     k = d_u.shape[0]
-    rows = design_matrix(basis, t, data.design)[:, :k]
-    mean, cov = coefficient_posterior(rows, d_u, data.y, sigma)
+    rows = design_matrix(basis, t, len(y))[:, :k]
+    mean, cov = coefficient_posterior(rows, d_u, y, model.sigma)
     return _at(basis.eigenvectors[:, :k], mean, cov)
 
 
-def continuum_posterior(data, cont, spec, t, sigma, query_points, cloud):
+def continuum_posterior(y, cont, spec, t, model, query_points, cloud):
     """Closed-form posterior on the sphere, queryable at arbitrary points.
 
-    The prior is truncated at the basis l_max.
+    y holds the labels at the first len(y) cloud points.  The prior is
+    truncated at the basis l_max.
     """
-    if data.kind != GAUSSIAN:
+    if model.kind != GAUSSIAN:
         raise ValueError("closed-form posterior requires gaussian noise")
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
-    rows = cont.evaluate(cloud.points[list(data.design.labeled)])
-    mean, cov = coefficient_posterior(heat(rows, cont, t), d_u, data.y, sigma)
+    rows = heat(cont.evaluate(cloud.points[:len(y)]), cont, t)
+    mean, cov = coefficient_posterior(rows, d_u, y, model.sigma)
     return _at(cont.evaluate(np.atleast_2d(query_points)), mean, cov)

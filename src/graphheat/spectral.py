@@ -60,10 +60,10 @@ class SpectralBasis:
     def synthesize(self, coeffs):
         """Nodal values sum_i a_i psi_i for a coefficient vector of length <= k."""
         coeffs = np.asarray(coeffs, dtype=float)
-        k = coeffs.shape[0]
-        if k > self.count:
-            raise ValueError("coefficient vector longer than basis")
-        return self.eigenvectors[:, :k] @ coeffs
+        if coeffs.ndim != 1 or coeffs.shape[0] > self.count:
+            raise ValueError("need one coefficient vector of length <= %d, "
+                             "got shape %s" % (self.count, coeffs.shape))
+        return self.eigenvectors[:, :coeffs.shape[0]] @ coeffs
 
 
 def _fix_signs(vecs):
@@ -97,23 +97,23 @@ def eigendecompose(lap, k):
     depends on n and k only.  Eigenvalues within 1e-12 * max(1,
     |lambda_k|) of zero are snapped to exactly 0.
     """
-    n = lap.n
+    n = lap.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
     if 2 * k < n:
         solver = "shift-invert"
-        vals, vecs = _shift_invert(lap.matrix, k)
+        vals, vecs = _shift_invert(lap, k)
     else:
         solver = "dense"
         # the transpose of the fresh symmetric array is Fortran-ordered, so
         # LAPACK overwrites it with the eigenvectors instead of copying it
-        vals, vecs = linalg.eigh(lap.dense().T, driver="evd",
+        vals, vecs = linalg.eigh(lap.toarray().T, driver="evd",
                                  overwrite_a=True, check_finite=False)
         vals, vecs = vals[:k], vecs[:, :k]
     # snap solver noise around the null modes to exact zero
     tiny = 1e-12 * max(1.0, float(abs(vals[-1])))
     vals = np.where(np.abs(vals) < tiny, 0.0, vals)
-    resid = np.linalg.norm(lap.matrix @ vecs - vecs * vals, axis=0)
+    resid = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
     residual = float(np.max(resid / np.maximum(1.0, np.abs(vals))))
     vecs = _fix_signs(vecs * np.sqrt(n))
     return SpectralBasis(vals, vecs, solver, residual)
@@ -177,8 +177,9 @@ class ContinuumBasis:
     def synthesize(self, coeffs, points):
         """Evaluate sum_i a_i psi_i at the given sphere points."""
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[0] != self.count:
-            raise ValueError("expected %d coefficients" % self.count)
+        if coeffs.shape != (self.count,):
+            raise ValueError("need one coefficient vector of length %d, got "
+                             "shape %s" % (self.count, coeffs.shape))
         return self.evaluate(points) @ coeffs
 
 

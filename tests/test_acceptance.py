@@ -13,13 +13,12 @@ import pytest
 
 from graphheat import (
     ExperimentConfig,
-    LabeledData,
+    NoiseModel,
     PriorSpec,
     SamplerConfig,
     build_eps_graph,
     default_eps,
     eigendecompose,
-    first_p_design,
     graph_posterior,
     heat,
     laplacian,
@@ -169,7 +168,7 @@ def test_criterion_7_structure_suite():
     rng = np.random.default_rng(0)
     checks = {}
 
-    dense = lap.dense()
+    dense = lap.toarray()
     checks["laplacian row sums"] = np.max(np.abs(dense.sum(axis=1))) < 1e-8
     checks["laplacian psd"] = (
         np.min(np.linalg.eigvalsh((dense + dense.T) / 2)) > -1e-8
@@ -192,11 +191,11 @@ def test_criterion_7_structure_suite():
     checks["self-adjointness"] = abs(lhs - rhs) < 1e-10
 
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=20, m=2)
-    design = first_p_design(40)
-    ya = LabeledData(rng.standard_normal(40), design, 0.1, "gaussian", 0.1)
-    yb = LabeledData(rng.standard_normal(40), design, 0.1, "gaussian", 0.1)
-    pa = graph_posterior(ya, basis, spec, 0.1, 0.1)
-    pb = graph_posterior(yb, basis, spec, 0.1, 0.1)
+    model = NoiseModel("gaussian", 0.1)
+    ya = rng.standard_normal(40)
+    yb = rng.standard_normal(40)
+    pa = graph_posterior(ya, basis, spec, 0.1, model)
+    pb = graph_posterior(yb, basis, spec, 0.1, model)
     prior_var = ((basis.eigenvectors[:, :20] ** 2)
                  @ spec.truncated_scales(basis) ** 2)
     checks["posterior variance bound"] = bool(

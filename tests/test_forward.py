@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from graphheat import (
-    ContinuumBasis,
-    ObservationDesign,
-    design_matrix,
-    first_p_design,
-    heat,
-)
+from graphheat import ContinuumBasis, design_matrix, heat
 
 
 KINDS = ("graph", "continuum")
@@ -32,16 +26,11 @@ def heat_cases(basis120, seed):
                                                      rng)
 
 
-def test_design_validation():
-    with pytest.raises(ValueError):
-        ObservationDesign(())
-    with pytest.raises(ValueError):
-        ObservationDesign((0, 0))
-    with pytest.raises(ValueError):
-        ObservationDesign((-1,))
-    d = first_p_design(4)
-    assert d.labeled == (0, 1, 2, 3)
-    assert d.p == 4
+def test_design_validation(basis120):
+    # at least one label, and no more labels than cloud points
+    for p in (0, -1, 121):
+        with pytest.raises(ValueError, match="p=%d n=120" % p):
+            design_matrix(basis120, 0.1, p)
 
 
 def test_heat_zero_time_is_identity(basis120):
@@ -85,7 +74,7 @@ def test_heat_rejects_negative_time(basis120):
         with pytest.raises(ValueError, match="t must be"):
             heat(coeffs, basis, -0.1)
     with pytest.raises(ValueError, match="t must be"):
-        design_matrix(basis120, -0.1, first_p_design(3))
+        design_matrix(basis120, -0.1, 3)
 
 
 def test_heat_on_harmonics_hand_values():
@@ -113,20 +102,21 @@ def test_heat_damps_each_mode(kind, shape, basis120):
 
 
 def test_observe_index_out_of_range(basis120):
-    with pytest.raises(ValueError, match="out of range"):
-        design_matrix(basis120, 0.1, ObservationDesign((120,)))
+    # every cloud point may carry a label, one more may not
+    assert design_matrix(basis120, 0.1, 120).shape == (120, basis120.count)
+    with pytest.raises(ValueError, match=r"need 1 <= p <= n, got p=121 n=120"):
+        design_matrix(basis120, 0.1, 121)
 
 
 def test_design_matrix_is_the_composition(basis120):
-    # M a is the heat image of u = sum a_i psi_i read at the labeled nodes,
-    # and M is bit for bit the heat map of the gathered eigenvector rows
+    # M a is the heat image of u = sum a_i psi_i read at the first p nodes,
+    # and M is bit for bit the heat map of those eigenvector rows
     coeffs = np.random.default_rng(8).standard_normal(basis120.count)
-    for design in (first_p_design(11), ObservationDesign((2, 40, 8))):
-        mat = design_matrix(basis120, 0.3, design)
-        assert mat.shape == (design.p, basis120.count)
-        rows = basis120.eigenvectors[list(design.labeled)]
+    for p in (11, basis120.n):
+        mat = design_matrix(basis120, 0.3, p)
+        assert mat.shape == (p, basis120.count)
+        rows = basis120.eigenvectors[:p]
         assert np.array_equal(mat, heat(rows, basis120, 0.3))
         assert np.array_equal(mat, rows * np.exp(-basis120.eigenvalues * 0.3))
         composed = basis120.synthesize(heat(coeffs, basis120, 0.3))
-        assert np.allclose(mat @ coeffs, composed[list(design.labeled)],
-                           rtol=1e-12)
+        assert np.allclose(mat @ coeffs, composed[:p], rtol=1e-12)

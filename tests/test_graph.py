@@ -49,7 +49,7 @@ def test_two_node_laplacian_spectrum():
     cl = two_point_cloud(1.0)
     g = build_eps_graph(cl, 1.5)
     w = kernel_weight(2, 1, 1.5)
-    lam = np.linalg.eigvalsh(laplacian(g).dense())
+    lam = np.linalg.eigvalsh(laplacian(g).toarray())
     assert lam[0] == pytest.approx(0.0, abs=1e-15)
     assert lam[1] == pytest.approx(2.0 * w, rel=1e-12)
 
@@ -83,12 +83,12 @@ def test_disconnection_warning(caplog):
 
 
 def test_laplacian_row_sums_vanish(graph120):
-    lap = laplacian(graph120).dense()
+    lap = laplacian(graph120).toarray()
     assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
 
 
 def test_laplacian_symmetric_psd(graph120):
-    lap = laplacian(graph120).dense()
+    lap = laplacian(graph120).toarray()
     assert np.array_equal(lap, lap.T)
     lam = np.linalg.eigvalsh(lap)
     assert lam[0] > -1e-12
@@ -96,19 +96,23 @@ def test_laplacian_symmetric_psd(graph120):
 
 def test_laplacian_apply_matches_dense(graph120):
     lap = laplacian(graph120)
+    assert lap.format == "csr" and lap.shape == (120, 120)
     u = np.sin(np.arange(120))
-    assert np.allclose(lap.matrix @ u, lap.dense() @ u, atol=1e-12)
+    assert np.allclose(lap @ u, lap.toarray() @ u, atol=1e-12)
 
 
 def test_calibration_scales_linearly(graph120):
-    base = laplacian(graph120).dense()
-    scaled = laplacian(graph120, calibration=8.0).dense()
+    base = laplacian(graph120).toarray()
+    scaled = laplacian(graph120, calibration=8.0).toarray()
     assert np.allclose(scaled, 8.0 * base, rtol=1e-14)
+    for calibration in (0.0, -1.0):
+        with pytest.raises(ValueError, match="calibration must be positive"):
+            laplacian(graph120, calibration)
 
 
 def test_constant_in_kernel(graph120):
     lap = laplacian(graph120)
-    assert np.max(np.abs(lap.matrix @ np.ones(120))) < 1e-12
+    assert np.max(np.abs(lap @ np.ones(120))) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -119,7 +123,7 @@ def test_dirichlet_form_identity(seed):
     cl = PointCloud(rng.standard_normal((40, 3)), 2)
     g = build_eps_graph(cl, 1.0)
     lap = laplacian(g)
-    quad = float(u @ (lap.matrix @ u))
+    quad = float(u @ (lap @ u))
     w = g.weights.toarray()
     direct = 0.5 * float(np.sum(w * (u[:, None] - u[None, :]) ** 2))
     assert quad == pytest.approx(direct, rel=1e-10, abs=1e-12)
@@ -147,8 +151,8 @@ def test_eps_graph_matches_dense_reference(seed, d):
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(g.weights, attr), getattr(ref, attr))
         ref_graph = GeometricGraph(ref, g.n_components)
-        assert np.array_equal(laplacian(g).dense(),
-                              laplacian(ref_graph).dense())
+        assert np.array_equal(laplacian(g).toarray(),
+                              laplacian(ref_graph).toarray())
         assert g.weights[30].nnz == 0
     assert g.n_components >= 2
     g = build_eps_graph(cl, boundary)

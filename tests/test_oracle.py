@@ -10,8 +10,7 @@ import pytest
 
 from graphheat import (
     ContinuumBasis,
-    LabeledData,
-    ObservationDesign,
+    NoiseModel,
     PointCloud,
     PriorSpec,
     SpectralBasis,
@@ -20,7 +19,6 @@ from graphheat import (
     continuum_posterior,
     design_matrix,
     eigendecompose,
-    first_p_design,
     graph_posterior,
     kernel_weight,
     laplacian,
@@ -58,8 +56,8 @@ def test_two_node_posterior_by_hand():
     cu = d0 + d1                              # prior pointwise variance
     denom = cv + sigma * sigma
 
-    data = LabeledData(np.array([y]), first_p_design(1), t, "gaussian", sigma)
-    got = graph_posterior(data, basis, spec, t, sigma)
+    got = graph_posterior(np.array([y]), basis, spec, t,
+                          NoiseModel("gaussian", sigma))
     assert got.mean[0] == pytest.approx(cw_at0 * y / denom, rel=1e-12)
     assert got.mean[1] == pytest.approx(cw_at1 * y / denom, rel=1e-12)
     assert got.variance[0] == pytest.approx(cu - cw_at0**2 / denom, rel=1e-12)
@@ -68,11 +66,9 @@ def test_two_node_posterior_by_hand():
 
 def test_variance_ignores_labels():
     cl, basis, spec = two_node_setup()
-    design = first_p_design(1)
-    a = LabeledData(np.array([0.7]), design, 0.5, "gaussian", 0.3)
-    b = LabeledData(np.array([-2.0]), design, 0.5, "gaussian", 0.3)
-    pa = graph_posterior(a, basis, spec, 0.5, 0.3)
-    pb = graph_posterior(b, basis, spec, 0.5, 0.3)
+    model = NoiseModel("gaussian", 0.3)
+    pa = graph_posterior(np.array([0.7]), basis, spec, 0.5, model)
+    pb = graph_posterior(np.array([-2.0]), basis, spec, 0.5, model)
     assert np.array_equal(pa.variance, pb.variance)
     assert not np.array_equal(pa.mean, pb.mean)
 
@@ -81,8 +77,7 @@ def test_posterior_variance_below_prior(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(25)
-    data = LabeledData(y, first_p_design(25), 0.2, "gaussian", 0.1)
-    post = graph_posterior(data, basis120, spec, 0.2, 0.1)
+    post = graph_posterior(y, basis120, spec, 0.2, NoiseModel("gaussian", 0.1))
     prior_var = prior_variance(spec, basis120)
     assert np.all(post.variance <= prior_var + 1e-12)
     assert np.all(post.variance >= 0.0)
@@ -102,10 +97,9 @@ def test_kernel_damping_relations(basis120):
     c_w = psi @ np.diag(d_u * np.exp(-lam * t)) @ psi.T
     assert np.allclose(prior_variance(spec, basis120), np.diag(c_u),
                        rtol=1e-12)
-    obs = [0, 5, 9]
+    obs = [0, 1, 2]
     y = np.array([0.3, -0.2, 0.8])
-    data = LabeledData(y, ObservationDesign(obs), t, "gaussian", sigma)
-    post = graph_posterior(data, basis120, spec, t, sigma)
+    post = graph_posterior(y, basis120, spec, t, NoiseModel("gaussian", sigma))
     a = c_v[np.ix_(obs, obs)] + sigma**2 * np.eye(3)
     assert np.allclose(post.mean, c_w[:, obs] @ np.linalg.solve(a, y),
                        rtol=1e-10)
@@ -122,16 +116,16 @@ def test_weak_noise_recovers_labels(basis120):
     truth = basis120.synthesize(
         np.random.default_rng(1).standard_normal(basis120.count) * 0.2
     )
-    data = LabeledData(truth[:120], first_p_design(120), 0.0, "gaussian", 1e-6)
-    post = graph_posterior(data, basis120, spec, 0.0, 1e-6)
+    post = graph_posterior(truth, basis120, spec, 0.0,
+                           NoiseModel("gaussian", 1e-6))
     assert np.allclose(post.mean, truth, atol=1e-4)
     assert np.max(post.variance) < 1e-6
 
 
 def test_strong_noise_reverts_to_prior(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=20)
-    data = LabeledData(np.array([5.0]), first_p_design(1), 0.1, "gaussian", 1e6)
-    post = graph_posterior(data, basis120, spec, 0.1, 1e6)
+    post = graph_posterior(np.array([5.0]), basis120, spec, 0.1,
+                           NoiseModel("gaussian", 1e6))
     assert np.max(np.abs(post.mean)) < 1e-6
     assert np.allclose(post.variance, prior_variance(spec, basis120),
                        rtol=1e-6)
@@ -140,17 +134,28 @@ def test_strong_noise_reverts_to_prior(basis120):
 def test_near_zero_noise_jitter_path(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
     y = np.array([0.4, -0.1])
-    data = LabeledData(y, first_p_design(2), 0.0, "gaussian", 1e-12)
-    post = graph_posterior(data, basis120, spec, 0.0, 1e-12)
+    post = graph_posterior(y, basis120, spec, 0.0,
+                           NoiseModel("gaussian", 1e-12))
     assert np.all(np.isfinite(post.mean))
     assert np.allclose(post.mean[:2], y, atol=1e-3)
 
 
 def test_probit_data_rejected(basis120):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=10)
-    data = LabeledData(np.array([1.0]), first_p_design(1), 0.1, "probit", 0.5)
-    with pytest.raises(ValueError):
-        graph_posterior(data, basis120, spec, 0.1, 0.5)
+    model = NoiseModel("probit", 0.5)
+    with pytest.raises(ValueError, match="gaussian noise"):
+        graph_posterior(np.array([1.0]), basis120, spec, 0.1, model)
+    cl = sample_sphere(10, seed=1)
+    with pytest.raises(ValueError, match="gaussian noise"):
+        continuum_posterior(np.array([1.0]), ContinuumBasis(2), spec, 0.1,
+                            model, cl.points, cl)
+
+
+def test_labels_must_be_a_vector(basis120):
+    spec = PriorSpec(alpha=1.0, s=5.0, k_n=10)
+    with pytest.raises(ValueError, match=r"labels must be a vector.*\(3, 1\)"):
+        graph_posterior(np.ones((3, 1)), basis120, spec, 0.1,
+                        NoiseModel("gaussian", 0.5))
 
 
 def test_continuum_posterior_small_case():
@@ -160,29 +165,27 @@ def test_continuum_posterior_small_case():
     rng = np.random.default_rng(6)
     coeffs = rng.standard_normal(cont.count) * 0.5
     truth_at = cont.synthesize(coeffs, cl.points[:10])
-    data = LabeledData(truth_at, first_p_design(10), 0.0, "gaussian", 1e-6)
-    post = continuum_posterior(data, cont, spec, 0.0, 1e-6, cl.points[:10], cl)
+    post = continuum_posterior(truth_at, cont, spec, 0.0,
+                               NoiseModel("gaussian", 1e-6), cl.points[:10],
+                               cl)
     assert np.allclose(post.mean, truth_at, atol=1e-3)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 0.2])
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 1.0])
-# every third of the first 60 nodes (p = k = 20), and every node (p = n, as
-# in the supervised sweep)
-@pytest.mark.parametrize("labeled", [range(0, 60, 3), range(120)],
-                         ids=["pointwise", "supervised"])
-def test_matches_coefficient_space_posterior(basis120, t, sigma, labeled):
+# the first 20 nodes (p = k = 20), and every node (p = n, as in the
+# supervised sweep)
+@pytest.mark.parametrize("p", [20, 120], ids=["pointwise", "supervised"])
+def test_matches_coefficient_space_posterior(basis120, t, sigma, p):
     # Independent closed form: with G(a) = M a for the design matrix M the
     # chains use, the coefficient posterior is N(mu, C) with precision
     # D_u^-1 + M^T M / sigma^2; at the nodes it has mean Psi mu and
     # variance diag(Psi C Psi^T).
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=basis120.count)
-    design = ObservationDesign(labeled)
-    y = np.random.default_rng(4).standard_normal(design.p)
-    post = graph_posterior(LabeledData(y, design, t, "gaussian", sigma),
-                           basis120, spec, t, sigma)
+    y = np.random.default_rng(4).standard_normal(p)
+    post = graph_posterior(y, basis120, spec, t, NoiseModel("gaussian", sigma))
 
-    mat = design_matrix(basis120, t, design)
+    mat = design_matrix(basis120, t, p)
     d_u = spec.coefficient_scales(basis120.eigenvalues) ** 2
     cov = np.linalg.inv(np.diag(1.0 / d_u) + mat.T @ mat / sigma**2)
     mu = cov @ mat.T @ y / sigma**2
@@ -277,9 +280,9 @@ def test_continuum_posterior_matches_exact_kernel_form(p, sigma):
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=None)
     t = 0.1
     y = np.random.default_rng(p).standard_normal(p)
-    data = LabeledData(y, first_p_design(p), t, "gaussian", sigma)
     query = cl.points[p - 2:]
-    post = continuum_posterior(data, cont, spec, t, sigma, query, cl)
+    post = continuum_posterior(y, cont, spec, t, NoiseModel("gaussian", sigma),
+                               query, cl)
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
     rows = cont.evaluate(cl.points[:p]) * np.exp(-cont.eigenvalues * t)
     mean, cov = kernel_reference(rows, cont.evaluate(query), d_u, y, sigma)
@@ -294,11 +297,10 @@ def test_graph_posterior_memory_is_linear_in_labels():
     vecs = np.linalg.qr(rng.standard_normal((n, k)))[0] * np.sqrt(n)
     basis = SpectralBasis(np.linspace(0.0, 30.0, k), vecs, "dense", 0.0)
     spec = PriorSpec(alpha=1.0, s=5.0, k_n=k)
-    data = LabeledData(rng.standard_normal(n), first_p_design(n), 0.1,
-                       "gaussian", 0.1)
+    y, model = rng.standard_normal(n), NoiseModel("gaussian", 0.1)
     tracemalloc.start()
     try:
-        post = graph_posterior(data, basis, spec, 0.1, 0.1)
+        post = graph_posterior(y, basis, spec, 0.1, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

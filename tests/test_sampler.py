@@ -9,12 +9,10 @@ import pytest
 
 from graphheat import (
     ChainBatch,
-    LabeledData,
     NoiseModel,
     PriorSpec,
     SamplerConfig,
     acceptance_rate,
-    first_p_design,
     integrated_autocorr_time,
     pcn,
     posterior_mean,
@@ -156,9 +154,8 @@ def gaussian_design_problem(k, p, sigma, seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((p, k))
     y = 0.5 * rng.standard_normal(p)
-    data = LabeledData(y, first_p_design(p), 0.0, "gaussian", sigma)
-    return mat, data, potential_from_design_matrix(
-        mat, data, NoiseModel("gaussian", sigma))
+    return mat, y, potential_from_design_matrix(
+        mat, y, NoiseModel("gaussian", sigma))
 
 
 def residual_potential(mat, y, sigma):
@@ -186,8 +183,8 @@ def test_kernel_reproduces_reference_loop(sampler, target):
                         seed=11)
     scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
     if target == "design":
-        mat, data, fast = gaussian_design_problem(4, 12, 0.4, seed=12)
-        slow = residual_potential(mat, data.y, 0.4)
+        mat, y, fast = gaussian_design_problem(4, 12, 0.4, seed=12)
+        slow = residual_potential(mat, y, 0.4)
     else:
         fast = slow = finite_near_zero
     chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg)
@@ -204,9 +201,7 @@ def probit_design_potential(k, p, sigma, seed):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((p, k))
     y = np.where(rng.standard_normal(p) >= 0.0, 1.0, -1.0)
-    data = LabeledData(y, first_p_design(p), 0.0, "probit", sigma)
-    return potential_from_design_matrix(mat, data,
-                                        NoiseModel("probit", sigma))
+    return potential_from_design_matrix(mat, y, NoiseModel("probit", sigma))
 
 
 def test_lockstep_chains_match_each_chain_alone(caplog):
@@ -289,10 +284,10 @@ def test_pcn_acceptance_matches_stationary_prediction():
     # mu = C g.  At stationarity the pCN acceptance is the mean of
     # min(1, exp(Phi(a) - Phi(a'))) over a ~ N(mu, C) and a' its proposal.
     sigma = 0.5
-    mat, data, phi = gaussian_design_problem(4, 30, sigma, seed=13)
+    mat, y, phi = gaussian_design_problem(4, 30, sigma, seed=13)
     scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
     h = mat.T @ mat / sigma**2
-    g = mat.T @ data.y / sigma**2
+    g = mat.T @ y / sigma**2
     cov = np.linalg.inv(np.diag(scales**-2.0) + h)
     mu = cov @ g
     rng = np.random.default_rng(14)

@@ -134,6 +134,19 @@ def test_continuum_synthesize_matches_evaluate():
     assert np.allclose(cont.synthesize(coeffs, pts), cont.evaluate(pts) @ coeffs)
 
 
+@pytest.mark.parametrize("kind", ["graph", "continuum"])
+def test_synthesize_refuses_a_coefficient_matrix(kind, basis120):
+    # a (3, k) input is not one coefficient vector; reading its first axis
+    # as the coefficients would misread it silently
+    if kind == "graph":
+        basis, points = basis120, ()
+    else:
+        basis, points = ContinuumBasis(2), (sample_sphere(10, seed=13).points,)
+    with pytest.raises(ValueError, match=r"one coefficient vector.*\(3, "):
+        basis.synthesize(np.ones((3, basis.count)), *points)
+    assert basis.synthesize(np.ones(basis.count), *points).ndim == 1
+
+
 def test_spectral_error_hand_case():
     graph_side = SimpleNamespace(eigenvalues=np.array([0.0, 1.8, 6.6]), count=3)
     sphere_side = SimpleNamespace(eigenvalues=np.array([0.0, 2.0, 6.0]), count=3)
@@ -159,8 +172,8 @@ def sphere_laplacian(n, seed):
 
 def dense_reference(lap, k):
     """The k lowest eigenpairs from the dense solver, in the basis' scaling."""
-    vals, vecs = linalg.eigh(lap.dense(), subset_by_index=[0, k - 1])
-    return vals, _fix_signs(vecs * np.sqrt(lap.n))
+    vals, vecs = linalg.eigh(lap.toarray(), subset_by_index=[0, k - 1])
+    return vals, _fix_signs(vecs * np.sqrt(lap.shape[0]))
 
 
 def assert_eigenvalues_close(got, ref):
@@ -280,9 +293,9 @@ def test_dense_branch_matches_mrrr(n, k, seed):
     # matrix: eigenvalues, the sphere clusters' projectors, and a Laplacian
     # left as it was by the in-place solve
     lap = sphere_laplacian(n, seed)
-    before = lap.matrix.copy()
+    before = lap.copy()
     basis = eigendecompose(lap, k)
-    vals, vecs = linalg.eigh(lap.dense(), driver="evr",
+    vals, vecs = linalg.eigh(lap.toarray(), driver="evr",
                              subset_by_index=[0, k - 1])
     vecs = vecs * np.sqrt(n)
     assert basis.solver == "dense"
@@ -294,10 +307,10 @@ def test_dense_branch_matches_mrrr(n, k, seed):
         ref = vecs[:, lo:hi]
         assert np.max(np.abs(got @ got.T - ref @ ref.T)) / n <= 1e-10
     assert basis.residual <= 1e-10
-    assert (lap.matrix != before).nnz == 0
-    assert np.array_equal(lap.matrix.indptr, before.indptr)
-    assert np.array_equal(lap.matrix.indices, before.indices)
-    assert np.array_equal(lap.matrix.data, before.data)
+    assert (lap != before).nnz == 0
+    assert np.array_equal(lap.indptr, before.indptr)
+    assert np.array_equal(lap.indices, before.indices)
+    assert np.array_equal(lap.data, before.data)
 
 
 def test_fix_signs_rule():
