@@ -43,7 +43,6 @@ from .likelihood import (
     synthesize_data,
 )
 from .sampler import (
-    ChainBatch,
     ChainResult,
     SamplerConfig,
     acceptance_rate,

@@ -21,9 +21,11 @@ also records wall time and library versions, so only it differs between
 identical runs.  Its metrics name, per cloud size n, the
 eigensolver behind the bases (``eigensolver``) and their largest relative
 residual (``eigen_residual``).  Chain runs record the acceptance with
-burn-in (``acceptance``) and after it (``stationary_acceptance``); Gaussian
-sweeps also record the stationary acceptance the closed-form posterior
-predicts (``predicted_acceptance``).
+burn-in (``acceptance``) and after it (``stationary_acceptance``), and the
+effective sample size of the node-1 trace, kept samples / IACT (``ess`` per
+n in the sweeps, ``ess_u_x1`` in a posterior run); Gaussian sweeps also
+record the stationary acceptance the closed-form posterior predicts
+(``predicted_acceptance``).
 
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
@@ -31,7 +33,8 @@ except spectra and regularity, which need only the eigenbasis from
 (n, replicate, solver, residual) of every basis it built; ``run_experiment``
 turns the points into the manifest's seed and eigensolver records.  The
 acceptance and supervised sweeps build all their points first and then run
-the chains in lockstep, one ``pcn`` call per distinct k.  Pipeline
+the chains through one ``pcn`` call per distinct k, in lockstep when the
+noise is Gaussian.  Pipeline
 functions are called through the names this module imports, because
 ``bench/tracing.py`` rebinds them here to trace them.
 """
@@ -364,7 +367,7 @@ def _sweep_points(cfg, pairs):
     """Chain diagnostics of the sweep points (n, replicate) in pairs, in order.
 
     Every problem is built first, keeping only what its chain and the
-    diagnostics read.  Then the chains run in lockstep, one pcn call per
+    diagnostics read.  Then the chains run through one pcn call per
     distinct k, each keeping the trace of its state at node 1.
     """
     problems = []
@@ -387,11 +390,13 @@ def _sweep_points(cfg, pairs):
                     readout=[b.eigenvectors[0, :] for b in bases])
         for i, chain in zip(members, batch):
             basis, predicted = problems[i][0], problems[i][4]
+            iact = integrated_autocorr_time(chain.trace)
             values[i] = {
                 "acceptance": acceptance_rate(chain),
                 "stationary_acceptance": stationary_acceptance(chain),
                 "predicted_acceptance": predicted,
-                "iact": integrated_autocorr_time(chain.trace),
+                "iact": iact,
+                "ess": chain.n_retained / iact,
                 "solver": basis.solver,
                 "residual": basis.residual,
             }
@@ -588,10 +593,12 @@ def _run_posterior(cfg, jobs):
     chain = pcn(basis, spec, phi, sc)
     mean = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
+    iact = integrated_autocorr_time(trace)
     metrics = {
         "acceptance": acceptance_rate(chain),
         "stationary_acceptance": stationary_acceptance(chain),
-        "iact_u_x1": integrated_autocorr_time(trace),
+        "iact_u_x1": iact,
+        "ess_u_x1": chain.n_retained / iact,
     }
     header = ["x", "y", "z", "chain_mean"]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean]
@@ -621,8 +628,9 @@ def _run_posterior(cfg, jobs):
 def _run_sweep(cfg, jobs):
     results, points = _run_grid(cfg, jobs, _sweep_points, lockstep=True)
     # medians over replicates; stationary_acceptance counts after burn-in,
-    # and predicted_acceptance is the closed-form posterior's
-    names = ["acceptance", "iact", "stationary_acceptance"]
+    # ess is kept samples / iact, and predicted_acceptance is the
+    # closed-form posterior's
+    names = ["acceptance", "iact", "ess", "stationary_acceptance"]
     if cfg.noise == "gaussian":
         names.append("predicted_acceptance")
     metrics = {name: _medians(cfg, results, name) for name in names}

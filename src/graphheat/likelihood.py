@@ -4,14 +4,20 @@ Two observation models:
   gaussian  phi(w) = |y - w|^2 / (2 sigma^2)
   probit    phi(w) = -sum_i log Psi(y_i w_i; sigma),  Psi the N(0, sigma^2) CDF
 The chains compose the misfit with the forward map G through its design
-matrix.  The Gaussian composite is a quadratic form in the k coefficients,
-precomputed once, so a chain step costs O(k^2) however many labels p there
-are; its absolute error is about 1e-16 * |y|^2 / (2 sigma^2).
+matrix M.  The Gaussian composite is kept in reduced residual form: with the
+thin SVD M / (sigma sqrt 2) = U S V^T, r = min(p, k) singular values and
+R = S V^T of r rows, phi(M a) = |z - R a|^2 + c for z = U^T y / (sigma sqrt 2)
+and c the squared norm of the part of y / (sigma sqrt 2) outside the range
+of U.  A chain step then costs O(rk) however many labels p there are, and no
+term of size |y|^2 is cancelled, so a near-fit keeps its relative accuracy.
+``GaussianMisfit.batch`` evaluates the forms of many chains in one pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 from scipy.special import log_ndtr
 
 from . import forward
@@ -59,13 +65,55 @@ def potential(w, y, model):
     return float(-np.sum(log_ndtr(y * w / model.sigma)))
 
 
+class GaussianMisfit:
+    """The Gaussian misfit a -> |z - R a|^2 + c of one design.
+
+    matrix R (r, k), target z (r,) and offset c >= 0 are the reduced
+    residual form of the module docstring.
+    """
+
+    def __init__(self, matrix, target, offset):
+        self.matrix = matrix
+        self.target = target
+        self.offset = offset
+
+    def __call__(self, a):
+        w = self.target - self.matrix.dot(a)
+        return float(w.dot(w)) + self.offset
+
+    @staticmethod
+    def batch(misfits):
+        """evaluate(states, out): out[i] = misfits[i](states[i]), in one pass.
+
+        The misfits must share one shape.  The products run over a stack of
+        their forms and give each value the bits of the misfit's own call:
+        a stacked matrix-vector or dot product is the same BLAS call per
+        design as the unstacked one.
+        """
+        matrices = np.stack([m.matrix for m in misfits])
+        targets = np.stack([m.target for m in misfits])
+        offsets = np.array([m.offset for m in misfits])
+        w = np.empty(targets.shape)
+        w_col, w_row = w[:, :, None], w[:, None, :]
+
+        def evaluate(states, out):
+            np.matmul(matrices, states[:, :, None], out=w_col)
+            np.subtract(targets, w, w)
+            np.matmul(w_row, w_col, out=out[:, None, None])
+            np.add(out, offsets, out)
+            return out
+
+        return evaluate
+
+
 def potential_from_design_matrix(mat, y, model):
-    """Closure a -> phi^y(M a) for coefficient-space samplers.
+    """The potential a -> phi^y(M a) for coefficient-space samplers.
 
     mat is the p x k design matrix of G, one row per label.  Gaussian noise
-    gives a^T (H/2) a - g^T a + c with H = M^T M / sigma^2, g = M^T y / sigma^2
-    and c = |y|^2 / (2 sigma^2), so a call costs O(k^2), not O(pk).  Probit
-    noise evaluates the p margins in one buffer, so no call allocates.
+    gives a GaussianMisfit in reduced residual form, from one thin SVD of
+    M, whose call costs O(min(p, k) k), not O(pk).  Probit noise gives a
+    closure that evaluates the p margins in one buffer, so no call
+    allocates.
     """
     mat = np.asarray(mat, dtype=float)
     y = _labels(y, model)
@@ -73,15 +121,12 @@ def potential_from_design_matrix(mat, y, model):
         raise ValueError("design matrix shape %s does not match label shape %s"
                          % (mat.shape, y.shape))
     if model.kind == GAUSSIAN:
-        inv_sigma2 = 1.0 / model.sigma**2
-        half_h = (0.5 * inv_sigma2) * (mat.T @ mat)
-        g = inv_sigma2 * (mat.T @ y)
-        c = (0.5 * inv_sigma2) * float(y @ y)
-
-        def phi(a):
-            return float(a.dot(half_h.dot(a) - g)) + c
-
-        return phi
+        scale = 1.0 / (model.sigma * math.sqrt(2.0))
+        u, sv, vt = linalg.svd(scale * mat, full_matrices=False)
+        b = scale * y
+        z = u.T @ b
+        rest = b - u @ z
+        return GaussianMisfit(sv[:, None] * vt, z, float(rest @ rest))
 
     y_over_sigma = y / model.sigma
     w = np.empty(mat.shape[0])

@@ -7,17 +7,25 @@ the prior is diagonal in the eigenbasis.  Acceptance depends only on the
 misfit potential.  An initial-monotone-sequence autocorrelation estimator
 rounds out the module.
 
-One kernel advances C chains in lockstep: three ufuncs over (C, k) arrays
-form every chain's proposal and one ``np.log`` takes the logs of their C
-uniforms, while each chain calls its own potential and accepts or rejects on
-its own.  A single chain is the case C = 1.
+One kernel advances C chains in lockstep, a block of steps at a time.  It
+first takes the block's draws, chain by chain, scales the normals and takes
+the logs of the uniforms in bulk; then each step forms all C proposals with
+two ufuncs over (C, k) arrays.  Chains lock step only when their potentials
+are all ``GaussianMisfit`` of one shape: one batched product then gives all
+C misfits, and the accepts go through masks.  Chains whose potentials are
+called one by one (a probit closure, misfits of mixed shapes) run one after
+another, each as a single chain (C = 1) that calls its potential and
+accepts on its own.
 
 Stream contract: each step draws k standard normals, then one uniform, from
 the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
-chain bit for bit, whether it runs alone or in lockstep with others.  The log
-of the uniform is taken with ``np.log`` on purpose: ``math.log`` differs from
-it in the last bit on some uniforms, which can flip an acceptance and change
-every later state.  ``np.log`` over the C uniforms gives each the bits of
+chain bit for bit, whether it runs alone or in lockstep with others, and
+whichever path evaluates its potential.  Drawing a block ahead keeps that
+order; a uniform is formed from the bit generator's raw 64-bit output as
+``Generator.random`` forms it, (raw >> 11) * 2^-53.  The log of the uniform
+is taken with ``np.log`` on purpose: ``math.log`` differs from it in the
+last bit on some uniforms, which can flip an acceptance and change every
+later state.  ``np.log`` over a block of uniforms gives each the bits of
 ``np.log`` on it alone.
 """
 
@@ -28,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .likelihood import GaussianMisfit
+
 logger = logging.getLogger(__name__)
 
 # Kept states per chain between readout products.  A product over a block
@@ -35,6 +45,9 @@ logger = logging.getLogger(__name__)
 # row in one product over all kept states; a block of a single row would be
 # a dot product instead, so a one-row tail joins the block before it.
 _BLOCK = 2048
+# Bytes of draws, proposals' potentials and accept flags held per block of
+# steps; the block of a call has as many steps as fit, at least one.
+_DRAW_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -96,7 +109,8 @@ class ChainResult:
 class ChainBatch(tuple):
     """The ChainResults of chains run in lockstep, in input order.
 
-    ``accepted`` and ``proposed`` total the ledgers of its chains.
+    ``accepted`` and ``proposed`` total the ledgers of its chains, for
+    callers that count steps across a lockstep call, such as a tracer.
     """
 
     @property
@@ -108,12 +122,29 @@ class ChainBatch(tuple):
         return sum(chain.proposed for chain in self)
 
 
+def _draw(rng, xi, uniforms):
+    """Fill each row of xi with standard normals, then draw one uniform.
+
+    The uniforms go to ``uniforms`` in row order, so the stream is the one a
+    step-by-step chain draws: k normals, then ``rng.random()``, per step.
+    A raw draw costs less than a ``random()`` call and gives the same bits.
+    """
+    normal, raw = rng.standard_normal, rng.bit_generator.random_raw
+    drawn = []
+    for row in xi:
+        normal(out=row)
+        drawn.append(raw())
+    np.multiply(np.array(drawn, dtype=np.uint64) >> 11, 2.0**-53, out=uniforms)
+
+
 def _lockstep(bases, prior_specs, potentials, configs, readouts):
     """Advance len(potentials) pCN chains together.
 
     Returns one ChainResult per chain, each equal bit for bit to the chain
-    run alone.  Per step the loop allocates only the C logs of the
-    uniforms.
+    run alone.  Misfits of mixed shapes are not stacked, because a product
+    over a stack padded to a common row count changes the bits of the
+    shorter designs' rows.  A single chain calls even a GaussianMisfit,
+    which costs fewer ufuncs per step than the masks.
     """
     chains = len(potentials)
     if chains == 0:
@@ -131,22 +162,37 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
               for basis, spec in zip(bases, prior_specs)]
     if len({s.shape for s in scales}) != 1:
         raise ValueError("lockstep chains must share the truncation k")
+    if chains > 1:
+        if not (all(isinstance(f, GaussianMisfit) for f in potentials)
+                and len({f.matrix.shape for f in potentials}) == 1):
+            # Potentials called one by one run chain after chain, so that
+            # each chain's design stays in cache through its whole run.
+            return [_lockstep([basis], [spec], [potential], [cfg],
+                              None if readout is None else [readout])[0]
+                    for basis, spec, potential, cfg, readout in zip(
+                        bases, prior_specs, potentials, configs,
+                        readouts or [None] * chains)]
+        batch = GaussianMisfit.batch(potentials)
     k = scales[0].shape[0]
     beta_scales = config.beta * np.array(scales)
     contraction = np.sqrt(1.0 - config.beta**2)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    normals = [rng.standard_normal for rng in rngs]
-    randoms = [rng.random for rng in rngs]
     seeds = [c.seed for c in configs]
     state = np.zeros((chains, k))
     cand = np.empty((chains, k))
-    xi = np.empty((chains, k))
-    states, cands, xis = list(state), list(cand), list(xi)
-    phi = [potential(a) for potential, a in zip(potentials, states)]
+    potential, state_row, cand_row = potentials[0], state[0], cand[0]
+    phi = np.array([f(a) for f, a in zip(potentials, state)], dtype=float)
     for c in range(chains):
         if not math.isfinite(phi[c]):
             raise ValueError("potential is not finite at the zero initial "
                              "state (chain seed %d)" % seeds[c])
+    steps = min(config.iterations,
+                max(1, _DRAW_BYTES // (8 * chains * (k + 3))))
+    xi = np.empty((steps, chains, k))
+    log_u = np.empty((steps, chains))
+    phi_cand = np.empty((steps, chains))
+    ok = np.empty((steps, chains), dtype=bool)
+    diff = np.empty(chains)
     burn_in = config.burn_in
     kept = range(burn_in, config.iterations, config.thinning)
     n_kept = len(kept)
@@ -161,39 +207,49 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
         traces = [np.empty(n_kept) for _ in range(chains)]
     ends = iter(ends)
     row, start, end = 0, 0, next(ends)
-    uniforms = np.empty(chains)
-    accepted = [0] * chains
-    before = None            # accepts before burn-in, copied at that step
-    warned = [False] * chains
+    accepted = np.zeros(chains, dtype=np.int64)
+    before = None            # accepts before burn-in, set in its block
+    warned = np.zeros(chains, dtype=bool)
     order = range(chains)
-    for j in range(config.iterations):
-        if j == burn_in:
-            before = accepted[:]
+    for first in range(0, config.iterations, steps):
+        size = min(steps, config.iterations - first)
         for c in order:
-            normals[c](out=xis[c])
-            uniforms[c] = randoms[c]()
-        log_u = np.log(uniforms).tolist()
-        np.multiply(xi, beta_scales, xi)
-        np.multiply(state, contraction, cand)
-        np.add(cand, xi, cand)
-        for c in order:
-            phi_cand = potentials[c](cands[c])
-            if not math.isfinite(phi_cand):
-                if not warned[c]:
-                    logger.warning("chain seed %d: non-finite potential at a "
-                                   "proposal; auto-rejected", seeds[c])
-                    warned[c] = True
-            elif log_u[c] <= phi[c] - phi_cand:
-                states[c][:] = cands[c]
-                phi[c] = phi_cand
-                accepted[c] += 1
-        if j in kept:
-            block[:, row - start] = state
-            row += 1
-            if row == end and readouts is not None:
-                for c in order:
-                    traces[c][start:end] = block[c, :end - start] @ readouts[c]
-                start, end = end, next(ends, None)
+            _draw(rngs[c], xi[:size, c], log_u[:size, c])
+        np.multiply(xi[:size], beta_scales, xi[:size])
+        np.log(log_u[:size], log_u[:size])
+        for j, xi_j, log_u_j, phi_j, ok_j in zip(range(first, first + size),
+                                                 xi, log_u, phi_cand, ok):
+            np.multiply(state, contraction, cand)
+            np.add(cand, xi_j, cand)
+            if chains == 1:
+                phi_j[0] = value = potential(cand_row)
+                ok_j[0] = accept = (math.isfinite(value)
+                                    and log_u_j[0] <= phi[0] - value)
+                if accept:
+                    state_row[:] = cand_row
+                    phi[0] = value
+            else:
+                batch(cand, phi_j)
+                np.subtract(phi, phi_j, diff)
+                np.less_equal(log_u_j, diff, ok_j)
+                np.copyto(state, cand, where=ok_j[:, None])
+                np.copyto(phi, phi_j, where=ok_j)
+            if j in kept:
+                block[:, row - start] = state
+                row += 1
+                if row == end and readouts is not None:
+                    for c in order:
+                        traces[c][start:end] = (block[c, :end - start]
+                                                @ readouts[c])
+                    start, end = end, next(ends, None)
+        if first <= burn_in < first + size:
+            before = accepted + ok[:burn_in - first].sum(axis=0)
+        accepted += ok[:size].sum(axis=0)
+        bad = ~np.isfinite(phi_cand[:size]).all(axis=0) & ~warned
+        for c in np.flatnonzero(bad):
+            logger.warning("chain seed %d: non-finite potential at a "
+                           "proposal; auto-rejected", seeds[c])
+        warned |= bad
     return [ChainResult(block[c] if readouts is None else None, accepted[c],
                         config.iterations, configs[c],
                         stationary_accepted=accepted[c] - before[c],
@@ -218,8 +274,9 @@ def pcn(basis, prior_spec, potential, config, readout=None):
     Returns a ChainResult.  To run C chains in lockstep, pass basis,
     prior_spec, potential, config and readout (if any) as sequences of C
     entries, one per chain; the chains must share k and every config field
-    but the seed.  That returns a ChainBatch whose chains equal the same
-    chains run alone, bit for bit.
+    but the seed.  That returns a tuple of ChainResults (a ChainBatch, which
+    also totals their ledgers) whose chains equal the same chains run alone,
+    bit for bit.
     """
     if callable(potential):
         return _lockstep([basis], [prior_spec], [potential], [config],

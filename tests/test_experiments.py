@@ -10,7 +10,6 @@ import pytest
 import graphheat.experiments as ex
 import graphheat.spectral
 from graphheat import (
-    ChainBatch,
     ContinuumBasis,
     DEFAULT_TRUTH,
     ExperimentConfig,
@@ -286,6 +285,9 @@ def test_posterior_run(tmp_path):
     for key in ("acceptance", "iact_u_x1", "rel_l2_mean_error_vs_oracle"):
         assert key in man["metrics"]
     assert 0.0 < man["metrics"]["acceptance"] <= 1.0
+    # 200 states kept after burn-in; ESS is kept samples over the IACT
+    assert man["metrics"]["ess_u_x1"] == pytest.approx(
+        200 / man["metrics"]["iact_u_x1"], rel=1e-12)
     rows = open(tmp_path / "posterior_mean.csv").read().strip().split("\n")
     assert rows[0] == "x,y,z,chain_mean,oracle_mean,oracle_sd"
     assert len(rows) == 61
@@ -322,6 +324,13 @@ def test_sweep_run(tmp_path):
     # per-grid medians in the summary file agree with the raw runs
     accs = [float(r.split(",")[2]) for r in runs[1:] if r.split(",")[1] == "40"]
     assert float(acc[1].split(",")[1]) == pytest.approx(np.median(accs))
+    # ESS per n is the median over replicates of kept samples / IACT
+    assert set(man["metrics"]["ess"]) == {"40", "60"}
+    for n in ("40", "60"):
+        iacts = [float(r.split(",")[3]) for r in runs[1:]
+                 if r.split(",")[1] == n]
+        assert man["metrics"]["ess"][n] == pytest.approx(
+            np.median([150 / tau for tau in iacts]), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind, beta", [("acceptance-sweep", 0.05),
@@ -385,7 +394,7 @@ def test_auto_sweep_runs_each_k_in_lockstep_as_if_alone(tmp_path,
             chain = lockstep(*args)
             chain.trace = chain.samples @ vector
             chains.append(chain)
-        return ChainBatch(chains)
+        return chains
 
     # These small-bandwidth graphs have many components, and the
     # eigensolver's basis of a degenerate null space varies from call to

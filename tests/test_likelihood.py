@@ -14,6 +14,7 @@ from graphheat import (
     sample_sphere,
     synthesize_data,
 )
+from graphheat.likelihood import GaussianMisfit
 
 
 def test_noise_model_validation():
@@ -82,6 +83,38 @@ def test_design_matrix_potential_closure(basis120):
     exact = potential(mat @ a_star, big, model)
     assert c > 1e7 * exact
     assert abs(phi(a_star) - exact) <= 1e-12 * (c + exact)
+
+
+@pytest.mark.parametrize("p, k", [(3, 8), (8, 8), (40, 8)])
+def test_gaussian_misfit_matches_the_direct_potential(p, k):
+    # The reduced residual form keeps min(p, k) rows and the value of
+    # phi(M a) for p below, at and above k.
+    rng = np.random.default_rng(p)
+    mat = rng.standard_normal((p, k))
+    y = rng.standard_normal(p)
+    model = NoiseModel("gaussian", 0.3)
+    phi = potential_from_design_matrix(mat, y, model)
+    assert phi.matrix.shape == (min(p, k), k)
+    for a in 2.0 * rng.standard_normal((5, k)):
+        assert phi(a) == pytest.approx(potential(mat @ a, y, model),
+                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("chains", [1, 2, 9, 18])
+@pytest.mark.parametrize("p", [3, 12, 40])
+def test_batched_misfits_give_each_design_its_own_bits(chains, p):
+    # The sampler evaluates lockstep chains in one batch; each value must
+    # be the bits of that design's misfit called alone.
+    rng = np.random.default_rng(chains + p)
+    misfits = [potential_from_design_matrix(
+        rng.standard_normal((p, 16)), rng.standard_normal(p),
+        NoiseModel("gaussian", 0.4)) for _ in range(chains)]
+    evaluate = GaussianMisfit.batch(misfits)
+    out = np.empty(chains)
+    for _ in range(20):
+        states = 3.0 * rng.standard_normal((chains, 16))
+        evaluate(states, out)
+        assert out.tolist() == [phi(a) for phi, a in zip(misfits, states)]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "probit"])

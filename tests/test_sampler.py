@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from graphheat import (
-    ChainBatch,
     NoiseModel,
     PriorSpec,
     SamplerConfig,
@@ -19,6 +18,8 @@ from graphheat import (
     potential_from_design_matrix,
     stationary_acceptance,
 )
+from graphheat.likelihood import GaussianMisfit
+from graphheat.sampler import _draw
 
 ZERO_POTENTIAL = lambda a: 0.0
 
@@ -238,9 +239,10 @@ def test_lockstep_chains_match_each_chain_alone(caplog):
     assert [w.split(":")[0] for w in warned_alone] == ["chain seed 33",
                                                        "chain seed 34"]
     for batch in (states, traces):
-        assert isinstance(batch, ChainBatch) and len(batch) == 4
-        assert batch.proposed == 4 * cfg.iterations
-        assert batch.accepted == sum(chain.accepted for chain in alone)
+        assert len(batch) == 4
+        assert sum(chain.proposed for chain in batch) == 4 * cfg.iterations
+        assert (sum(chain.accepted for chain in batch)
+                == sum(chain.accepted for chain in alone))
     for i, single in enumerate(alone):
         assert 0 < single.accepted < cfg.iterations
         assert single.samples.shape == (4097, 4)
@@ -250,6 +252,75 @@ def test_lockstep_chains_match_each_chain_alone(caplog):
         assert np.array_equal(states[i].samples, single.samples)
         assert traces[i].samples is None
         assert np.array_equal(traces[i].trace, single.samples @ readouts[i])
+
+
+def test_batched_misfits_match_the_per_chain_path(monkeypatch):
+    # Gaussian misfits of one shape are evaluated for all chains in one
+    # batched product per step; wrapped in plain closures, the same chains
+    # call their potentials one by one.  Both paths give the same states,
+    # traces and ledgers, bit for bit.  The designs have p = k, p = n and
+    # p < k rows; misfits of mixed shapes run one after another, and a
+    # single chain calls its misfit.
+    batches = []
+    batch, call = GaussianMisfit.batch, GaussianMisfit.__call__
+
+    def counted_batch(misfits):
+        evaluate = batch(misfits)
+
+        def counted(states, out):
+            batches.append(states.shape[0])
+            return evaluate(states, out)
+
+        return counted
+
+    def counted_call(self, a):
+        batches.append(1)
+        return call(self, a)
+
+    monkeypatch.setattr(GaussianMisfit, "batch", staticmethod(counted_batch))
+    monkeypatch.setattr(GaussianMisfit, "__call__", counted_call)
+    cfg = SamplerConfig(beta=0.3, iterations=4597, burn_in=500)
+    for rows, batched in (([4, 9, 30], True), ([3, 3], True),
+                          ([2, 3, 12], False), ([9], False)):
+        chains = len(rows)
+        misfits = [gaussian_design_problem(4, p, 0.4, seed=40 + p)[2]
+                   for p in rows]
+        closures = [lambda a, phi=phi: phi(a) for phi in misfits]
+        bases = [FlatBasis(4, n=30, eigenvalues=[0.0, 1.0 + c, 3.0, 5.0])
+                 for c in range(chains)]
+        specs = [REFERENCE_SPEC] * chains
+        configs = [dataclasses.replace(cfg, seed=60 + c)
+                   for c in range(chains)]
+        readouts = list(np.random.default_rng(61).standard_normal((chains, 4)))
+        for readout in (None, readouts):
+            batches.clear()
+            fast = pcn(bases, specs, misfits, configs, readout=readout)
+            assert batches == [1] * chains + (
+                [chains] * cfg.iterations if batched
+                else [1] * (chains * cfg.iterations))
+            slow = pcn(bases, specs, closures, configs, readout=readout)
+            for a, b in zip(fast, slow):
+                assert 0 < a.accepted < cfg.iterations
+                assert a.accepted == b.accepted
+                assert a.stationary_accepted == b.stationary_accepted
+                if readout is None:
+                    assert np.array_equal(a.samples, b.samples)
+                else:
+                    assert np.array_equal(a.trace, b.trace)
+
+
+def test_block_draws_follow_the_generator_stream():
+    # The kernel draws a block of steps ahead, into strided views of its
+    # buffers; the block holds what a step-by-step chain draws: k normals,
+    # then rng.random(), per step, and leaves the stream where it would be.
+    for seed in (0, 7, 2**40 + 3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        xi, uniforms = np.empty((500, 2, 3)), np.empty((500, 2))
+        _draw(rng, xi[:, 1], uniforms[:, 1])
+        for j in range(500):
+            assert np.array_equal(xi[j, 1], ref.standard_normal(3))
+            assert uniforms[j, 1] == ref.random()
+        assert rng.random() == ref.random()
 
 
 def test_lockstep_refuses_mismatched_chains():
