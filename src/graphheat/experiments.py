@@ -33,10 +33,10 @@ except spectra and regularity, which need only the eigenbasis from
 (n, replicate, solver, residual) of every basis it built; ``run_experiment``
 turns the points into the manifest's seed and eigensolver records.  The
 acceptance and supervised sweeps build all their points first and then run
-the chains through one ``pcn`` call per distinct k, in lockstep when the
-noise is Gaussian.  Pipeline
-functions are called through the names this module imports, because
-``bench/tracing.py`` rebinds them here to trace them.
+every chain through one ``pcn`` call; under ``jobs`` > 1, worker w of W
+runs grid points w, w+W, w+2W, ... of any kind.  Pipeline functions are
+called through the names this module imports, because ``bench/tracing.py``
+rebinds them here to trace them.
 """
 
 import dataclasses
@@ -367,8 +367,8 @@ def _sweep_points(cfg, pairs):
     """Chain diagnostics of the sweep points (n, replicate) in pairs, in order.
 
     Every problem is built first, keeping only what its chain and the
-    diagnostics read.  Then the chains run through one pcn call per
-    distinct k, each keeping the trace of its state at node 1.
+    diagnostics read.  Then all the chains run in one pcn call, each
+    keeping the trace of its state at node 1.
     """
     problems = []
     for n, replicate in pairs:
@@ -380,26 +380,21 @@ def _sweep_points(cfg, pairs):
                 mat, spec.truncated_scales(basis) ** 2, y, cfg.sigma,
                 cfg.beta, seed=sc.seed)
         problems.append((basis, spec, phi, sc, predicted))
-    groups = {}
-    for i, problem in enumerate(problems):
-        groups.setdefault(problem[0].count, []).append(i)
-    values = [None] * len(problems)
-    for members in groups.values():
-        bases, specs, phis, configs, _ = zip(*(problems[i] for i in members))
-        batch = pcn(bases, specs, phis, configs,
-                    readout=[b.eigenvectors[0, :] for b in bases])
-        for i, chain in zip(members, batch):
-            basis, predicted = problems[i][0], problems[i][4]
-            iact = integrated_autocorr_time(chain.trace)
-            values[i] = {
-                "acceptance": acceptance_rate(chain),
-                "stationary_acceptance": stationary_acceptance(chain),
-                "predicted_acceptance": predicted,
-                "iact": iact,
-                "ess": chain.n_retained / iact,
-                "solver": basis.solver,
-                "residual": basis.residual,
-            }
+    bases, specs, phis, configs, predicted = zip(*problems)
+    chains = pcn(bases, specs, phis, configs,
+                 readout=[b.eigenvectors[0, :] for b in bases])
+    values = []
+    for basis, chain, prediction in zip(bases, chains, predicted):
+        iact = integrated_autocorr_time(chain.trace)
+        values.append({
+            "acceptance": acceptance_rate(chain),
+            "stationary_acceptance": stationary_acceptance(chain),
+            "predicted_acceptance": prediction,
+            "iact": iact,
+            "ess": chain.n_retained / iact,
+            "solver": basis.solver,
+            "residual": basis.residual,
+        })
     return values
 
 
@@ -430,14 +425,14 @@ def _grid_worker(args):
     return points(ExperimentConfig.from_json(cfg_json), pairs)
 
 
-def _run_grid(cfg, jobs, points, lockstep=False):
+def _run_grid(cfg, jobs, points):
     """points(cfg, pairs) over cfg.n_grid x replicates, in `jobs` processes.
 
-    points maps a list of (n, r) pairs to their results, in order.  With
-    lockstep, each worker takes one contiguous group of pairs, so that its
-    chains run together; otherwise each pair is a task of its own.  Returns
-    the results keyed by (n, r) and the points (n, r, solver, residual) in
-    grid order.
+    points maps a list of (n, r) pairs to their results, in order.  Worker
+    w of W takes pairs w, w+W, w+2W, ... in one call, so a sweep worker's
+    chains share one pcn call and the cloud sizes spread evenly over the
+    workers.  Returns the results keyed by (n, r) and the points
+    (n, r, solver, residual) in grid order.
     """
     pairs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
     if jobs <= 1 or len(pairs) <= 1:
@@ -446,15 +441,12 @@ def _run_grid(cfg, jobs, points, lockstep=False):
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, len(pairs))
-        if lockstep:
-            cuts = [len(pairs) * i // workers for i in range(workers + 1)]
-            tasks = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
-        else:
-            tasks = [[pair] for pair in pairs]
-        args = [(points, cfg.to_json(), task) for task in tasks]
+        args = [(points, cfg.to_json(), pairs[w::workers])
+                for w in range(workers)]
+        values = [None] * len(pairs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = [v for part in pool.map(_grid_worker, args)
-                      for v in part]
+            for w, part in enumerate(pool.map(_grid_worker, args)):
+                values[w::workers] = part
     points = [(n, r, v["solver"], v["residual"])
               for (n, r), v in zip(pairs, values)]
     return dict(zip(pairs, values)), points
@@ -626,7 +618,7 @@ def _run_posterior(cfg, jobs):
 
 
 def _run_sweep(cfg, jobs):
-    results, points = _run_grid(cfg, jobs, _sweep_points, lockstep=True)
+    results, points = _run_grid(cfg, jobs, _sweep_points)
     # medians over replicates; stationary_acceptance counts after burn-in,
     # ess is kept samples / iact, and predicted_acceptance is the
     # closed-form posterior's

@@ -10,11 +10,14 @@ rounds out the module.
 One kernel advances C chains in lockstep, a block of steps at a time.  It
 first takes the block's draws, chain by chain, scales the normals and takes
 the logs of the uniforms in bulk; then each step forms all C proposals with
-two ufuncs over (C, k) arrays.  Chains lock step only when their potentials
-are all ``GaussianMisfit`` of one shape: one batched product then gives all
-C misfits, and the accepts go through masks.  Chains whose potentials are
-called one by one (a probit closure, misfits of mixed shapes) run one after
-another, each as a single chain (C = 1) that calls its potential and
+two ufuncs over (C, k) arrays.  ``pcn`` takes any list of chains and alone
+decides which step together: those whose potentials are ``GaussianMisfit``
+of one shape under one config apart from the seed.  One batched product
+then gives all C misfits, and the accepts go through masks; misfits of
+mixed shapes are not stacked, because padding them to one row count would
+change the bits of the shorter designs' rows.  Every other chain (a probit
+closure, a misfit without a partner of its shape and config) runs alone,
+one after another, as a single chain (C = 1) that calls its potential and
 accepts on its own.
 
 Stream contract: each step draws k standard normals, then one uniform, from
@@ -138,43 +141,20 @@ def _draw(rng, xi, uniforms):
 
 
 def _lockstep(bases, prior_specs, potentials, configs, readouts):
-    """Advance len(potentials) pCN chains together.
+    """Advance one chain, or GaussianMisfit chains of one shape, together.
 
-    Returns one ChainResult per chain, each equal bit for bit to the chain
-    run alone.  Misfits of mixed shapes are not stacked, because a product
-    over a stack padded to a common row count changes the bits of the
-    shorter designs' rows.  A single chain calls even a GaussianMisfit,
-    which costs fewer ufuncs per step than the masks.
+    The chains share every config field but the seed.  Returns one
+    ChainResult per chain, each equal bit for bit to the chain run alone.
+    A single chain calls even a GaussianMisfit, which costs fewer ufuncs
+    per step than the masks.
     """
     chains = len(potentials)
-    if chains == 0:
-        raise ValueError("need at least one chain")
-    if not (len(bases) == len(prior_specs) == len(configs) == chains
-            and (readouts is None or len(readouts) == chains)):
-        raise ValueError("need one basis, prior spec, config and readout "
-                         "per potential")
     config = configs[0]
-    if any(dataclasses.replace(c, seed=config.seed) != config
-           for c in configs):
-        raise ValueError("lockstep chains must share every config field "
-                         "but the seed")
-    scales = [spec.truncated_scales(basis)
-              for basis, spec in zip(bases, prior_specs)]
-    if len({s.shape for s in scales}) != 1:
-        raise ValueError("lockstep chains must share the truncation k")
     if chains > 1:
-        if not (all(isinstance(f, GaussianMisfit) for f in potentials)
-                and len({f.matrix.shape for f in potentials}) == 1):
-            # Potentials called one by one run chain after chain, so that
-            # each chain's design stays in cache through its whole run.
-            return [_lockstep([basis], [spec], [potential], [cfg],
-                              None if readout is None else [readout])[0]
-                    for basis, spec, potential, cfg, readout in zip(
-                        bases, prior_specs, potentials, configs,
-                        readouts or [None] * chains)]
         batch = GaussianMisfit.batch(potentials)
-    k = scales[0].shape[0]
-    beta_scales = config.beta * np.array(scales)
+    beta_scales = config.beta * np.array(
+        [spec.truncated_scales(b) for b, spec in zip(bases, prior_specs)])
+    k = beta_scales.shape[1]
     contraction = np.sqrt(1.0 - config.beta**2)
     rngs = [np.random.default_rng(c.seed) for c in configs]
     seeds = [c.seed for c in configs]
@@ -271,17 +251,34 @@ def pcn(basis, prior_spec, potential, config, readout=None):
     readout : optional (k,) vector.  Given, the chain keeps
         ``trace = samples @ readout``, bit for bit, instead of ``samples``.
 
-    Returns a ChainResult.  To run C chains in lockstep, pass basis,
-    prior_spec, potential, config and readout (if any) as sequences of C
-    entries, one per chain; the chains must share k and every config field
-    but the seed.  That returns a tuple of ChainResults (a ChainBatch, which
-    also totals their ledgers) whose chains equal the same chains run alone,
-    bit for bit.
+    Returns a ChainResult.  To run C chains, pass basis, prior_spec,
+    potential, config and readout (if any) as sequences of C entries, one
+    per chain.  That returns a tuple of ChainResults in input order (a
+    ChainBatch, which also totals their ledgers), each equal bit for bit to
+    the same chain run alone.  Which chains step together is pcn's own
+    business (see the module docstring); a chain run alone keeps its
+    design in cache through its whole run.
     """
     if callable(potential):
         return _lockstep([basis], [prior_spec], [potential], [config],
                          None if readout is None else [readout])[0]
-    return ChainBatch(_lockstep(basis, prior_spec, potential, config, readout))
+    chains = len(potential)
+    if not (len(basis) == len(prior_spec) == len(config) == chains
+            and (readout is None or len(readout) == chains)):
+        raise ValueError("need one basis, prior spec, config and readout "
+                         "per potential")
+    groups = {}
+    for c, (f, cfg) in enumerate(zip(potential, config)):
+        key = ((f.matrix.shape, dataclasses.replace(cfg, seed=0))
+               if isinstance(f, GaussianMisfit) else c)
+        groups.setdefault(key, []).append(c)
+    results = [None] * chains
+    for members in groups.values():
+        args = [None if seq is None else [seq[c] for c in members]
+                for seq in (basis, prior_spec, potential, config, readout)]
+        for c, chain in zip(members, _lockstep(*args)):
+            results[c] = chain
+    return ChainBatch(results)
 
 
 def acceptance_rate(chain):

@@ -19,10 +19,20 @@ regularity study needs) comes from the divide-and-conquer solver of
 ``scipy.linalg.eigh`` (``driver="evd"``) on the dense matrix, the cheaper
 solver once ARPACK's Krylov space of about 2k+1 vectors would span all n
 dimensions; it computes every pair and the first k are kept.
+
+A disconnected graph's null space is known exactly: the indicators of its
+c components.  Either solver leaves it to them, so the first min(k, c)
+pairs are eigenvalue 0 and the normalized indicators, whatever the
+solver's rounding.  Shift-invert then runs on the complement, with each
+component's mean subtracted from the operator's input and output and from
+the start vector; on the whole space, ARPACK's Krylov space can miss null
+vectors and return too few zero eigenvalues, with a small residual all
+the same.
 """
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from scipy.special import gammaln, lpmv
 
@@ -73,20 +83,32 @@ def _fix_signs(vecs):
     return np.negative(vecs, out=vecs, where=flip)
 
 
-def _shift_invert(mat, k):
+def _shift_invert(mat, k, labels, sizes):
     # L is positive semi-definite, so a negative shift keeps L - sigma*I
-    # positive definite and puts the k smallest eigenvalues nearest sigma;
-    # an all-zero L (no edges) has trace 0 and takes sigma = -1.
+    # positive definite and puts the k smallest eigenvalues nearest sigma
     n = mat.shape[0]
-    sigma = -1e-3 * mat.diagonal().sum() / n or -1.0
+    sigma = -1e-3 * mat.diagonal().sum() / n
     lu = splu(sparse.csc_matrix(mat - sigma * sparse.identity(n)),
               permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     # a fixed start vector: ARPACK's default is random, and np.ones(n) is
     # the null vector of a connected graph, on which Lanczos stops at once
     v0 = np.random.default_rng(0).standard_normal(n)
+    solve, ncv = lu.solve, None
+    if sizes.size > 1:
+        # the null space is known: subtracting each component's mean takes
+        # it out of the operator and the start vector, and the Krylov space
+        # stays within the n - c dimensions left
+        def project(v):
+            return v - (np.bincount(labels, v) / sizes)[labels]
+
+        def solve(v):
+            return project(lu.solve(project(v)))
+
+        v0 = project(v0)
+        ncv = min(n - sizes.size, max(2 * k + 1, 20))
     # with eigenvectors requested, eigsh returns ascending eigenvalues
-    return eigsh(mat, k, sigma=sigma, which="LM", v0=v0,
-                 OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float))
+    return eigsh(mat, k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+                 OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
 
 
 def eigendecompose(lap, k):
@@ -95,21 +117,36 @@ def eigendecompose(lap, k):
     With 2k < n, shift-invert Lanczos on the sparse matrix (see the module
     docstring); otherwise divide and conquer on the dense matrix.  The cut
     depends on n and k only.  Eigenvalues within 1e-12 * max(1,
-    |lambda_k|) of zero are snapped to exactly 0.
+    |lambda_k|) of zero are snapped to exactly 0.  A graph of c > 1
+    components gives eigenvalue 0 and its normalized component indicators,
+    ordered by lowest point index, as the first min(k, c) pairs.
     """
     n = lap.shape[0]
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
+    # L is symmetric, so its strong components are its connected components,
+    # found without the transposed copy an undirected search makes; scipy
+    # numbers them in the order of their lowest point
+    c, labels = connected_components(lap, connection="strong")
+    sizes = np.bincount(labels)
+    null = min(k, c) if c > 1 else 0
+    vals, vecs = np.zeros(0), np.zeros((n, 0))
     if 2 * k < n:
         solver = "shift-invert"
-        vals, vecs = _shift_invert(lap, k)
+        if k > null:
+            vals, vecs = _shift_invert(lap, k - null, labels, sizes)
     else:
         solver = "dense"
         # the transpose of the fresh symmetric array is Fortran-ordered, so
         # LAPACK overwrites it with the eigenvectors instead of copying it
         vals, vecs = linalg.eigh(lap.toarray().T, driver="evd",
                                  overwrite_a=True, check_finite=False)
-        vals, vecs = vals[:k], vecs[:, :k]
+        vals, vecs = vals[null:k], vecs[:, null:k]
+    if null:
+        # the unit component indicators come first
+        vals = np.concatenate((np.zeros(null), vals))
+        vecs = np.hstack(((labels[:, None] == np.arange(null))
+                          / np.sqrt(sizes[:null]), vecs))
     # snap solver noise around the null modes to exact zero
     tiny = 1e-12 * max(1.0, float(abs(vals[-1])))
     vals = np.where(np.abs(vals) < tiny, 0.0, vals)

@@ -18,6 +18,7 @@ from graphheat import (
     truth_coefficients,
     validate_config,
 )
+from graphheat.likelihood import GaussianMisfit
 
 
 def test_config_json_round_trip():
@@ -381,41 +382,37 @@ AUTO_SWEEP = dict(k_n="auto", eps_multiplier=0.7, n_grid=(40, 60, 80, 120))
 
 def test_auto_sweep_runs_each_k_in_lockstep_as_if_alone(tmp_path,
                                                        monkeypatch):
-    groups = []
-    lockstep = ex.pcn
+    # The sweep hands every chain to one pcn call, which steps the four
+    # chains of each k together; the outputs equal those of every chain
+    # run alone.  These small-bandwidth graphs have many components.
+    calls, groups = [], []
+    run, batch = ex.pcn, GaussianMisfit.batch
 
     def recording(bases, specs, phis, configs, readout):
-        groups.append(([b.count for b in bases], [c.seed for c in configs]))
-        return lockstep(bases, specs, phis, configs, readout=readout)
+        calls.append(([b.count for b in bases], [c.seed for c in configs]))
+        return run(bases, specs, phis, configs, readout=readout)
+
+    def counted_batch(misfits):
+        groups.append(len(misfits))
+        return batch(misfits)
 
     def one_by_one(bases, specs, phis, configs, readout):
         chains = []
         for args, vector in zip(zip(bases, specs, phis, configs), readout):
-            chain = lockstep(*args)
+            chain = run(*args)
             chain.trace = chain.samples @ vector
             chains.append(chain)
         return chains
 
-    # These small-bandwidth graphs have many components, and the
-    # eigensolver's basis of a degenerate null space varies from call to
-    # call, so both runs share each point's basis.
-    built = {}
-    basis = ex._basis
-
-    def shared(cfg, cl, k, eps_multiplier=None):
-        key = (cl.n, cl.seed, k)
-        if key not in built:
-            built[key] = basis(cfg, cl, k, eps_multiplier)
-        return built[key]
-
-    monkeypatch.setattr(ex, "_basis", shared)
+    monkeypatch.setattr(GaussianMisfit, "batch", staticmethod(counted_batch))
     cfg = toy_cfg("acceptance-sweep", **AUTO_SWEEP)
     monkeypatch.setattr(ex, "pcn", recording)
     together, man = run_outputs(cfg, tmp_path / "together")
-    assert groups == [([3] * 4, [900, 901, 900, 901]),
-                      ([4] * 4, [900, 901, 900, 901])]
+    assert calls == [([3] * 4 + [4] * 4, [900, 901] * 4)]
+    assert groups == [4, 4]
     monkeypatch.setattr(ex, "pcn", one_by_one)
     alone, man_alone = run_outputs(cfg, tmp_path / "alone")
+    assert groups == [4, 4]
     assert together == alone
     assert man == man_alone
 
@@ -486,6 +483,15 @@ def test_grid_starts_no_more_workers_than_points(tmp_path, monkeypatch):
     pooled, _ = run_outputs(cfg, tmp_path / "pooled", jobs=10**6)
     assert started == [2]
     assert pooled == serial
+
+
+@pytest.mark.parametrize("kind", ["acceptance-sweep", "oracle-compare"])
+def test_uneven_strides_match_serial(tmp_path, kind):
+    # 2 sizes x 2 replicates over 3 workers: one worker takes two points,
+    # the others one each
+    cfg = toy_cfg(kind)
+    serial = run_outputs(cfg, tmp_path / "serial", jobs=1)
+    assert run_outputs(cfg, tmp_path / "parallel", jobs=3) == serial
 
 
 def test_compare_parallel_matches_serial(tmp_path):

@@ -326,13 +326,70 @@ def test_block_draws_follow_the_generator_stream():
 def test_lockstep_refuses_mismatched_chains():
     phi = [ZERO_POTENTIAL] * 2
     cfg = SamplerConfig(beta=0.5, iterations=10)
-    with pytest.raises(ValueError, match="share the truncation k"):
-        pcn([FlatBasis(2), FlatBasis(3)], [SPEC] * 2, phi, [cfg] * 2)
-    with pytest.raises(ValueError, match="every config field but the seed"):
-        pcn([FlatBasis(2)] * 2, [SPEC] * 2, phi,
-            [cfg, dataclasses.replace(cfg, beta=0.4)])
     with pytest.raises(ValueError, match="one basis, prior spec"):
         pcn([FlatBasis(2)], [SPEC] * 2, phi, [cfg] * 2)
+    with pytest.raises(ValueError, match="one basis, prior spec"):
+        pcn([FlatBasis(2)] * 2, [SPEC] * 2, phi, [cfg] * 2,
+            readout=[np.ones(2)])
+
+
+def test_pcn_groups_any_chains_as_if_alone(monkeypatch):
+    # One call over a shuffled mix: Gaussian misfits of shapes (4, 4) and
+    # (2, 3), under two betas, a probit closure and a zero potential.  pcn
+    # steps together exactly the misfits of one shape and one config but
+    # the seed (groups a, b and c), one batched evaluator per group, and
+    # every chain is bit-identical to itself run alone.  2100 kept states
+    # leave a tail after a full readout block.
+    table = ([("a", 4, 12, 0.3)] * 3 + [("b", 4, 12, 0.4)] * 2
+             + [("c", 3, 2, 0.3)] * 2
+             + [("probit", 3, 9, 0.3), ("zero", 2, 0, 0.4)])
+    table = [table[c] for c in np.random.default_rng(91).permutation(9)]
+    potentials = [ZERO_POTENTIAL if group == "zero"
+                  else probit_design_potential(k, p, 0.5, seed=16)
+                  if group == "probit"
+                  else gaussian_design_problem(k, p, 0.4, seed=80 + c)[2]
+                  for c, (group, k, p, _) in enumerate(table)]
+    cfg = SamplerConfig(beta=0.3, iterations=2600, burn_in=500)
+    configs = [dataclasses.replace(cfg, beta=beta, seed=70 + c)
+               for c, (_, _, _, beta) in enumerate(table)]
+    bases = [FlatBasis(k, n=12, eigenvalues=np.arange(k) + 0.5 * c)
+             for c, (_, k, _, _) in enumerate(table)]
+    specs = [REFERENCE_SPEC] * 9
+    readouts = [np.random.default_rng(90 + c).standard_normal(k)
+                for c, (_, k, _, _) in enumerate(table)]
+    evaluators = []
+    batch = GaussianMisfit.batch
+
+    def counted_batch(misfits):
+        evaluate, steps = batch(misfits), [0]
+        evaluators.append(([c for c, f in enumerate(potentials)
+                            if any(f is m for m in misfits)], steps))
+
+        def counted(states, out):
+            steps[0] += 1
+            return evaluate(states, out)
+
+        return counted
+
+    monkeypatch.setattr(GaussianMisfit, "batch", staticmethod(counted_batch))
+    alone = [pcn(*args) for args in zip(bases, specs, potentials, configs)]
+    assert evaluators == []
+    states = pcn(bases, specs, potentials, configs)
+    traces = pcn(bases, specs, potentials, configs, readout=readouts)
+    groups = [[c for c, row in enumerate(table) if row[0] == group]
+              for group in "abc"]
+    assert sorted(members for members, _ in evaluators) == sorted(groups * 2)
+    assert all(steps == [cfg.iterations] for _, steps in evaluators)
+    for c, single in enumerate(alone):
+        if table[c][0] != "zero":
+            assert 0 < single.accepted < cfg.iterations
+        for chain in (states[c], traces[c]):
+            assert chain.config is configs[c]
+            assert chain.accepted == single.accepted
+            assert chain.stationary_accepted == single.stationary_accepted
+        assert np.array_equal(states[c].samples, single.samples)
+        assert traces[c].samples is None
+        assert np.array_equal(traces[c].trace, single.samples @ readouts[c])
 
 
 def test_stationary_acceptance_counts_after_burn_in():

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.sparse.csgraph import connected_components
 
 from graphheat import (
     ContinuumBasis,
@@ -239,6 +240,51 @@ def test_two_components_give_two_exact_zeros():
     assert_eigenvalues_close(basis.eigenvalues, vals)
     null, ref = basis.eigenvectors[:, :2], vecs[:, :2]
     assert np.max(np.abs(null @ null.T - ref @ ref.T)) / cloud.n <= 1e-10
+
+
+def test_many_components_match_the_dense_spectrum():
+    # 263 components; on the whole space shift-invert found only 202 zero
+    # eigenvalues here, and its 269th eigenvalue was 731.7, not 115.39
+    n = 600
+    graph = build_eps_graph(sample_sphere(n, seed=100),
+                            default_eps(n, 2, 0.5))
+    assert graph.n_components == 263
+    lap = laplacian(graph, sphere_calibration(n))
+    basis = eigendecompose(lap, 269)
+    assert basis.solver == "shift-invert"
+    assert np.count_nonzero(basis.eigenvalues == 0.0) == 263
+    assert_eigenvalues_close(basis.eigenvalues,
+                             linalg.eigvalsh(lap.toarray())[:269])
+    gram = basis.eigenvectors.T @ basis.eigenvectors / n
+    assert np.allclose(gram, np.eye(269), atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [4, 60])
+def test_null_space_is_the_component_indicators(k):
+    # 47 components; the first min(k, 47) pairs are eigenvalue 0 and the
+    # normalized indicators in the order of each component's lowest point,
+    # from either solver, and repeated calls agree bit for bit
+    n = 80
+    graph = build_eps_graph(sample_sphere(n, seed=100),
+                            default_eps(n, 2, 0.7))
+    lap = laplacian(graph, sphere_calibration(n))
+    _, labels = connected_components(graph.weights, directed=False)
+    basis = eigendecompose(lap, k)
+    assert basis.solver == ("shift-invert" if k == 4 else "dense")
+    null = min(k, graph.n_components)
+    assert np.array_equal(basis.eigenvalues[:null], np.zeros(null))
+    firsts = [int(np.flatnonzero(labels == j)[0]) for j in range(null)]
+    assert firsts == sorted(firsts)
+    for j in range(null):
+        member = labels == j
+        assert np.allclose(basis.eigenvectors[:, j],
+                           np.where(member, np.sqrt(n / member.sum()), 0.0),
+                           rtol=1e-15, atol=0.0)
+    assert_eigenvalues_close(basis.eigenvalues,
+                             linalg.eigvalsh(lap.toarray())[:k])
+    again = eigendecompose(lap, k)
+    assert np.array_equal(basis.eigenvalues, again.eigenvalues)
+    assert np.array_equal(basis.eigenvectors, again.eigenvectors)
 
 
 def test_calibration_scales_eigenvalues_only():
