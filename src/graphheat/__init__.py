@@ -56,6 +56,7 @@ from .oracle import (
     coefficient_posterior,
     continuum_posterior,
     graph_posterior,
+    laplace_surrogate,
     predicted_acceptance,
 )
 from .interpolate import knn_interpolate, l2_distance, sphere_mc_grid

@@ -27,6 +27,17 @@ n in the sweeps, ``ess_u_x1`` in a posterior run); Gaussian sweeps also
 record the stationary acceptance the closed-form posterior predicts
 (``predicted_acceptance``).
 
+A probit posterior run screens each pCN proposal with the Laplace
+expansion of its potential (``oracle.laplace_surrogate``, delayed
+acceptance in ``sampler``): the chain keeps its target and random stream,
+and calls the p-label potential only for the proposals that pass the
+screen.  Its ``acceptance`` is the screened chain's, a little below plain
+pCN's, and its manifest adds the potential calls
+(``potential_evaluations``) and the fraction of proposals that reached the
+potential (``screen_pass``).  Gaussian runs need no screen, since their
+misfit already costs O(min(p, k) k) a step, and sweeps take none, because
+their output is plain pCN's acceptance.
+
 Every kind builds its cloud, basis, prior and labels through ``_problem``,
 except spectra and regularity, which need only the eigenbasis from
 ``_basis``.  Each runner returns its files, its metrics and the points
@@ -56,7 +67,8 @@ from .graph import build_eps_graph, default_eps, laplacian, sphere_calibration
 from .interpolate import knn_interpolate, sphere_mc_grid, l2_distance
 from .likelihood import (NoiseModel, potential_from_design_matrix,
                          synthesize_data)
-from .oracle import continuum_posterior, graph_posterior, predicted_acceptance
+from .oracle import (continuum_posterior, graph_posterior, laplace_surrogate,
+                     predicted_acceptance)
 from .prior import (PriorSpec, default_truncation, regularity_experiment,
                     sample_graph_prior)
 from .sampler import (
@@ -581,8 +593,12 @@ def _run_regularity(cfg, jobs):
 
 
 def _run_posterior(cfg, jobs):
-    cl, basis, spec, y, _, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
-    chain = pcn(basis, spec, phi, sc)
+    cl, basis, spec, y, mat, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
+    surrogate = None
+    if cfg.noise == "probit":
+        surrogate = laplace_surrogate(mat, y, NoiseModel(cfg.noise, cfg.sigma),
+                                      spec.truncated_scales(basis) ** 2)
+    chain = pcn(basis, spec, phi, sc, surrogate=surrogate)
     mean = posterior_mean(chain, basis)
     trace = chain.samples @ basis.eigenvectors[0, :]
     iact = integrated_autocorr_time(trace)
@@ -592,6 +608,9 @@ def _run_posterior(cfg, jobs):
         "iact_u_x1": iact,
         "ess_u_x1": chain.n_retained / iact,
     }
+    if surrogate is not None:
+        metrics["potential_evaluations"] = chain.potential_calls
+        metrics["screen_pass"] = (chain.potential_calls - 1) / chain.proposed
     header = ["x", "y", "z", "chain_mean"]
     cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean]
     if cfg.noise == "gaussian":

@@ -20,12 +20,26 @@ closure, a misfit without a partner of its shape and config) runs alone,
 one after another, as a single chain (C = 1) that calls its potential and
 accepts on its own.
 
+A chain may carry a ``surrogate``, a cheap potential S (the probit
+posterior run passes ``oracle.laplace_surrogate``'s) that screens each
+proposal before the potential Phi is called: delayed acceptance
+(Christen & Fox, 2005).  With ds = S(a) - S(a'), d = Phi(a) - Phi(a') and
+log u the step's one uniform, the proposal is rejected without calling Phi
+when log u > min(0, ds), and otherwise accepted iff
+log u <= min(0, ds) + min(0, d - ds).  So it is accepted with probability
+min(1, e^ds) min(1, e^(d - ds)), the two-stage kernel, which is reversible
+for the same posterior: S decides only how many calls Phi takes, never the
+target.  A proposal where S is not finite is rejected at the first
+stage.  With S = Phi the chain is bit for bit the plain one.  Only the
+single-chain form takes a surrogate.
+
 Stream contract: each step draws k standard normals, then one uniform, from
 the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
 chain bit for bit, whether it runs alone or in lockstep with others, and
-whichever path evaluates its potential.  Drawing a block ahead keeps that
-order; a uniform is formed from the bit generator's raw 64-bit output as
-``Generator.random`` forms it, (raw >> 11) * 2^-53.  The log of the uniform
+whichever path evaluates its potential; a screened chain draws the same
+stream.  Drawing a block ahead keeps that order; a uniform is formed from
+the bit generator's raw 64-bit output as ``Generator.random`` forms it,
+(raw >> 11) * 2^-53.  The log of the uniform
 is taken with ``np.log`` on purpose: ``math.log`` differs from it in the
 last bit on some uniforms, which can flip an acceptance and change every
 later state.  ``np.log`` over a block of uniforms gives each the bits of
@@ -92,16 +106,20 @@ class ChainResult:
         Acceptance ledger over all iterations.
     stationary_accepted : int
         Accepts among the proposed - burn_in steps after burn-in.
+    potential_calls : int
+        Calls of the potential, the one at the initial state included:
+        proposed + 1, or 1 + the proposals a surrogate let through.
     """
 
     def __init__(self, samples, accepted, proposed, config,
-                 stationary_accepted=0, trace=None):
+                 stationary_accepted=0, trace=None, potential_calls=0):
         self.samples = samples
         self.trace = trace
         self.accepted = int(accepted)
         self.proposed = int(proposed)
         self.stationary_accepted = int(stationary_accepted)
         self.config = config
+        self.potential_calls = int(potential_calls)
 
     @property
     def n_retained(self):
@@ -140,13 +158,15 @@ def _draw(rng, xi, uniforms):
     np.multiply(np.array(drawn, dtype=np.uint64) >> 11, 2.0**-53, out=uniforms)
 
 
-def _lockstep(bases, prior_specs, potentials, configs, readouts):
+def _lockstep(bases, prior_specs, potentials, configs, readouts,
+              surrogate=None):
     """Advance one chain, or GaussianMisfit chains of one shape, together.
 
     The chains share every config field but the seed.  Returns one
     ChainResult per chain, each equal bit for bit to the chain run alone.
     A single chain calls even a GaussianMisfit, which costs fewer ufuncs
-    per step than the masks.
+    per step than the masks.  Only a single chain takes a surrogate, which
+    screens its proposals (see the module docstring).
     """
     chains = len(potentials)
     config = configs[0]
@@ -166,6 +186,13 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
         if not math.isfinite(phi[c]):
             raise ValueError("potential is not finite at the zero initial "
                              "state (chain seed %d)" % seeds[c])
+    reached = config.iterations      # proposals that reach the potential
+    if surrogate is not None:
+        screened = surrogate(state_row)
+        if not math.isfinite(screened):
+            raise ValueError("surrogate is not finite at the zero initial "
+                             "state (chain seed %d)" % seeds[0])
+        reached = 0
     steps = min(config.iterations,
                 max(1, _DRAW_BYTES // (8 * chains * (k + 3))))
     xi = np.empty((steps, chains, k))
@@ -201,7 +228,22 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
                                                  xi, log_u, phi_cand, ok):
             np.multiply(state, contraction, cand)
             np.add(cand, xi_j, cand)
-            if chains == 1:
+            if surrogate is not None:
+                value = surrogate(cand_row)
+                drop = screened - value
+                screen = min(0.0, drop)
+                ok_j[0] = accept = False
+                phi_j[0] = 0.0      # no potential call, so nothing to warn of
+                if math.isfinite(value) and log_u_j[0] <= screen:
+                    reached += 1
+                    phi_j[0] = full = potential(cand_row)
+                    ok_j[0] = accept = (
+                        math.isfinite(full) and log_u_j[0]
+                        <= screen + min(0.0, phi[0] - full - drop))
+                if accept:
+                    state_row[:] = cand_row
+                    phi[0], screened = full, value
+            elif chains == 1:
                 phi_j[0] = value = potential(cand_row)
                 ok_j[0] = accept = (math.isfinite(value)
                                     and log_u_j[0] <= phi[0] - value)
@@ -233,11 +275,12 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts):
     return [ChainResult(block[c] if readouts is None else None, accepted[c],
                         config.iterations, configs[c],
                         stationary_accepted=accepted[c] - before[c],
-                        trace=None if readouts is None else traces[c])
+                        trace=None if readouts is None else traces[c],
+                        potential_calls=1 + reached)
             for c in order]
 
 
-def pcn(basis, prior_spec, potential, config, readout=None):
+def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
     """Run the graph pCN chain; the prior is exactly preserved when Phi == 0.
 
     Parameters
@@ -250,6 +293,13 @@ def pcn(basis, prior_spec, potential, config, readout=None):
     config : SamplerConfig
     readout : optional (k,) vector.  Given, the chain keeps
         ``trace = samples @ readout``, bit for bit, instead of ``samples``.
+    surrogate : optional callable like potential, finite wherever the
+        posterior has mass, that screens each proposal before potential is
+        called (delayed acceptance, see the module docstring); a proposal
+        where it is not finite is rejected.  The chain keeps its target
+        and random stream; its acceptance is the screened chain's, lower
+        than plain pCN's by as much as S misjudges Phi.  Single-chain form
+        only.
 
     Returns a ChainResult.  To run C chains, pass basis, prior_spec,
     potential, config and readout (if any) as sequences of C entries, one
@@ -261,7 +311,11 @@ def pcn(basis, prior_spec, potential, config, readout=None):
     """
     if callable(potential):
         return _lockstep([basis], [prior_spec], [potential], [config],
-                         None if readout is None else [readout])[0]
+                         None if readout is None else [readout],
+                         surrogate)[0]
+    if surrogate is not None:
+        raise ValueError("a surrogate screens a single chain: pass one "
+                         "potential, not a sequence")
     chains = len(potential)
     if not (len(basis) == len(prior_spec) == len(config) == chains
             and (readout is None or len(readout) == chains)):
@@ -297,6 +351,9 @@ def stationary_acceptance(chain):
 
 def posterior_mean(chain, basis):
     """Coefficient-wise mean of the retained samples, as nodal values."""
+    if chain.samples is None:
+        raise ValueError("the chain kept a trace, not its states: run it "
+                         "without a readout to take its mean")
     if chain.n_retained == 0:
         raise ValueError("no retained samples")
     return basis.synthesize(chain.samples.mean(axis=0))

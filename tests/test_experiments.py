@@ -285,6 +285,8 @@ def test_posterior_run(tmp_path):
     man = json.load(open(path))
     for key in ("acceptance", "iact_u_x1", "rel_l2_mean_error_vs_oracle"):
         assert key in man["metrics"]
+    # Gaussian runs are not screened
+    assert "potential_evaluations" not in man["metrics"]
     assert 0.0 < man["metrics"]["acceptance"] <= 1.0
     # 200 states kept after burn-in; ESS is kept samples over the IACT
     assert man["metrics"]["ess_u_x1"] == pytest.approx(
@@ -305,6 +307,12 @@ def test_probit_posterior_classifies(tmp_path):
     path = run_experiment(cfg, out_dir=str(tmp_path))
     man = json.load(open(path))
     assert "rel_l2_mean_error_vs_oracle" not in man["metrics"]
+    # the chain is screened: it calls the potential at the start and for
+    # the proposals that pass the Laplace screen, which all accepted
+    # proposals did
+    calls = man["metrics"]["potential_evaluations"]
+    assert man["metrics"]["screen_pass"] == (calls - 1) / 300
+    assert round(man["metrics"]["acceptance"] * 300) <= calls - 1 < 300
     rows = open(tmp_path / "posterior_mean.csv").read().strip().split("\n")
     assert rows[0] == "x,y,z,chain_mean,class"
     labels = {r.split(",")[4] for r in rows[1:]}

@@ -1,18 +1,22 @@
 """Closed-form posterior checks, anchored by a fully hand-worked tiny graph
 and by the p x p kernel formula evaluated in exact rational arithmetic."""
 
+import logging
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 from graphheat import (
     ContinuumBasis,
     NoiseModel,
     PointCloud,
     PriorSpec,
+    SamplerConfig,
     SpectralBasis,
     build_eps_graph,
     coefficient_posterior,
@@ -21,7 +25,10 @@ from graphheat import (
     eigendecompose,
     graph_posterior,
     kernel_weight,
+    laplace_surrogate,
     laplacian,
+    pcn,
+    potential_from_design_matrix,
     predicted_acceptance,
     sample_sphere,
 )
@@ -337,3 +344,83 @@ def test_predicted_acceptance_matches_direct_draws(p):
         assert got == pytest.approx(direct, abs=0.006)
     with pytest.raises(ValueError):
         predicted_acceptance(mat, d_u, y, sigma, 0.0)
+
+
+def probit_problem(p, k, sigma, seed, noise=0.3):
+    """Random p x k design, prior variances and +-1 labels from a truth."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((p, k))
+    d_u = 1.0 / (1.0 + np.arange(k))
+    truth = np.sqrt(d_u) * rng.standard_normal(k)
+    y = np.where(mat @ truth + noise * rng.standard_normal(p) >= 0, 1.0, -1.0)
+    return mat, d_u, y
+
+
+def surrogate_map(surrogate, d_u):
+    # minimizer of |z - R a|^2 + c + a^T D^-1 a / 2
+    r, z = surrogate.matrix, surrogate.target
+    return np.linalg.solve(2.0 * r.T @ r + np.diag(1.0 / d_u), 2.0 * r.T @ z)
+
+
+def probit_gradient(mat, y, sigma, d_u, a):
+    # gradient of Phi(a) + a^T D^-1 a / 2, with lambda = psi / Psi
+    t = y * (mat @ a) / sigma
+    lam = np.exp(-0.5 * t * t - 0.5 * math.log(2 * math.pi)
+                 - special.log_ndtr(t))
+    return a / d_u - mat.T @ (y * lam) / sigma
+
+
+def test_laplace_surrogate_is_the_expansion_at_the_map(caplog):
+    # At the MAP the gradient of Phi + a^T D^-1 a / 2 vanishes, and the
+    # surrogate's differences are Phi's second-order Taylor expansion
+    # there: central first and second differences agree to relative
+    # O(h^2), the order of the expansion's remainder.
+    sigma = 0.5
+    mat, d_u, y = probit_problem(60, 5, sigma, seed=3)
+    model = NoiseModel("probit", sigma)
+    with caplog.at_level(logging.INFO, logger="graphheat.oracle"):
+        surrogate = laplace_surrogate(mat, y, model, d_u)
+    assert re.search(r"Laplace fit: \d+ Newton steps, gradient norm",
+                     caplog.text)
+    a = surrogate_map(surrogate, d_u)
+    scale = np.abs(mat.T @ y).max() / sigma
+    assert np.abs(probit_gradient(mat, y, sigma, d_u, a)).max() < 1e-10 * scale
+    phi = potential_from_design_matrix(mat, y, model)
+    rng = np.random.default_rng(4)
+    direction = rng.standard_normal(5)
+    for h in (1e-2, 1e-3, 1e-4):
+        d = h * direction
+        slope = [f(a + d) - f(a - d) for f in (phi, surrogate)]
+        curve = [f(a + d) + f(a - d) - 2.0 * f(a) for f in (phi, surrogate)]
+        assert slope[1] == pytest.approx(slope[0], rel=50 * h * h)
+        assert curve[1] == pytest.approx(curve[0], rel=50 * h * h)
+
+
+def test_laplace_surrogate_refuses_gaussian_noise():
+    mat, d_u, y = probit_problem(10, 3, 0.5, seed=3)
+    with pytest.raises(ValueError, match="probit"):
+        laplace_surrogate(mat, y, NoiseModel("gaussian", 0.5), d_u)
+
+
+def test_laplace_surrogate_at_large_margins():
+    # Noiseless labels at sigma = 1e-3 put most margins at the MAP far
+    # beyond 38, where the curvature w underflows to 0; those rows drop
+    # out, the surrogate stays finite, and the screened chain moves.
+    sigma = 1e-3
+    mat, d_u, y = probit_problem(60, 5, sigma, seed=5, noise=0.0)
+    model = NoiseModel("probit", sigma)
+    surrogate = laplace_surrogate(mat, y, model, d_u)
+    for part in (surrogate.matrix, surrogate.target, surrogate.offset):
+        assert np.all(np.isfinite(part))
+    margins = y * (mat @ surrogate_map(surrogate, d_u)) / sigma
+    assert np.sum(margins > 40.0) > 10
+    # prior variances (0 + lambda_i)^(-2/2) = d_u
+    basis = SpectralBasis(1.0 + np.arange(5), np.eye(5), "dense", 0.0)
+    spec = PriorSpec(alpha=0.0, s=2.0, m=1)
+    assert np.allclose(spec.truncated_scales(basis) ** 2, d_u)
+    cfg = SamplerConfig(beta=0.05, iterations=3000, seed=6)
+    chain = pcn(basis, spec, potential_from_design_matrix(mat, y, model), cfg,
+                surrogate=surrogate)
+    assert np.all(np.isfinite(chain.samples))
+    assert 0 < chain.accepted < chain.potential_calls - 1 < cfg.iterations
+    assert len(np.unique(chain.samples[:, 0])) > 1

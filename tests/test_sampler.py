@@ -12,6 +12,7 @@ from graphheat import (
     PriorSpec,
     SamplerConfig,
     acceptance_rate,
+    coefficient_posterior,
     integrated_autocorr_time,
     pcn,
     posterior_mean,
@@ -455,6 +456,137 @@ def test_posterior_mean_and_averages():
     mean = posterior_mean(chain, basis)
     manual = basis.synthesize(chain.samples.mean(axis=0))
     assert np.array_equal(mean, manual)
+
+
+def test_posterior_mean_refuses_a_readout_chain():
+    cfg = SamplerConfig(beta=0.9, iterations=300, burn_in=50, seed=7)
+    basis = FlatBasis(3)
+    chain = pcn(basis, SPEC, ZERO_POTENTIAL, cfg, readout=np.ones(3))
+    with pytest.raises(ValueError, match="kept a trace, not its states"):
+        posterior_mean(chain, basis)
+
+
+def counted(potential, calls):
+    def phi(a):
+        calls.append(1)
+        return potential(a)
+
+    return phi
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "probit"])
+def test_surrogate_equal_to_potential_is_plain_pcn(kind):
+    # With S = Phi the first stage accepts iff log u <= min(0, d) and the
+    # second adds min(0, 0) = 0, so the one-uniform rule is plain pCN's,
+    # bit for bit, in states, traces and both ledgers.
+    phi = (gaussian_design_problem(4, 12, 0.4, seed=12)[2]
+           if kind == "gaussian" else probit_design_potential(4, 9, 0.5, 16))
+    cfg = SamplerConfig(beta=0.3, iterations=4597, burn_in=500, seed=11)
+    readout = np.random.default_rng(22).standard_normal(4)
+    for kept in (None, readout):
+        plain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg, readout=kept)
+        screened = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg,
+                       readout=kept, surrogate=phi)
+        assert 0 < plain.accepted < cfg.iterations
+        assert screened.accepted == plain.accepted
+        assert screened.stationary_accepted == plain.stationary_accepted
+        assert screened.potential_calls == plain.accepted + 1
+        assert plain.potential_calls == cfg.iterations + 1
+        if kept is None:
+            assert np.array_equal(screened.samples, plain.samples)
+        else:
+            assert np.array_equal(screened.trace, plain.trace)
+
+
+def test_surrogate_takes_a_single_chain_only():
+    misfits = [gaussian_design_problem(4, 12, 0.4, seed=80 + c)[2]
+               for c in range(2)]
+    cfg = SamplerConfig(beta=0.3, iterations=100, burn_in=10)
+    configs = [dataclasses.replace(cfg, seed=70 + c) for c in range(2)]
+    with pytest.raises(ValueError, match="surrogate screens a single chain"):
+        pcn([REFERENCE_BASIS] * 2, [REFERENCE_SPEC] * 2, misfits, configs,
+            surrogate=misfits[0])
+
+
+def test_non_finite_surrogate_rejects_the_proposal():
+    # min(0, nan) is 0 in Python, so an unchecked NaN screen would pass
+    # every proposal; it is rejected instead, and the chain never leaves a
+    # state where a[0] <= 0.5.
+    def surrogate(a):
+        return math.nan if a[0] > 0.5 else 0.5 * float(a @ a)
+
+    def phi(a):
+        return 0.5 * float(a @ a)
+
+    cfg = SamplerConfig(beta=0.5, iterations=2000, seed=4)
+    chain = pcn(FlatBasis(2), SPEC, phi, cfg, surrogate=surrogate)
+    assert 0 < chain.accepted < cfg.iterations
+    assert np.all(chain.samples[:, 0] <= 0.5)
+
+
+def test_potential_calls_are_screen_passes_plus_one():
+    mat, y, phi = gaussian_design_problem(4, 12, 0.4, seed=12)
+    wrong = potential_from_design_matrix(mat, y + 0.3,
+                                         NoiseModel("gaussian", 0.4))
+    cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, seed=11)
+    for surrogate in (None, wrong):
+        calls, passes = [], []
+        screen = None if surrogate is None else counted(surrogate, passes)
+        chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, counted(phi, calls),
+                    cfg, surrogate=screen)
+        assert chain.potential_calls == len(calls)
+        if surrogate is None:
+            assert len(calls) == cfg.iterations + 1
+        else:
+            # one surrogate call per step and at the start
+            assert len(passes) == cfg.iterations + 1
+            assert chain.accepted < len(calls) - 1 < cfg.iterations
+
+
+def test_skipped_proposals_do_not_warn(caplog):
+    # The potential is NaN wherever a[0] > 0.5; a surrogate that is huge
+    # there screens those proposals out before the potential sees them.
+    def phi(a):
+        return math.nan if a[0] > 0.5 else 0.5 * float(a @ a)
+
+    def surrogate(a):
+        return 1e6 * max(a[0] - 0.4, 0.0) + 0.5 * float(a @ a)
+
+    cfg = SamplerConfig(beta=0.5, iterations=2000, seed=4)
+    with caplog.at_level(logging.WARNING):
+        plain = pcn(FlatBasis(2), SPEC, phi, cfg)
+        warned = [r for r in caplog.records if "auto-rejected" in r.message]
+        caplog.clear()
+        screened = pcn(FlatBasis(2), SPEC, phi, cfg, surrogate=surrogate)
+        assert not [r for r in caplog.records if "auto-rejected" in r.message]
+    assert len(warned) == 1
+    assert 0 < screened.accepted < cfg.iterations
+    assert np.all(screened.samples[:, 0] <= 0.5)
+
+
+def test_wrong_surrogate_keeps_the_gaussian_posterior():
+    # Delayed acceptance leaves the target exact however poor the screen:
+    # a surrogate from a perturbed design still gives a chain whose mean
+    # lies within 4 Monte Carlo standard errors (from the ESS) of the
+    # closed-form posterior mean, and accepts no more often than plain pCN.
+    sigma = 0.4
+    mat, y, phi = gaussian_design_problem(4, 12, sigma, seed=12)
+    bent = mat + 0.3 * np.random.default_rng(17).standard_normal(mat.shape)
+    wrong = potential_from_design_matrix(bent, y,
+                                         NoiseModel("gaussian", sigma))
+    scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
+    mean, cov = coefficient_posterior(mat, scales**2, y, sigma)
+    cfg = SamplerConfig(beta=0.3, iterations=60000, burn_in=2000, seed=18)
+    plain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg)
+    screened = pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg,
+                   surrogate=wrong)
+    assert screened.potential_calls < 0.9 * cfg.iterations
+    assert acceptance_rate(screened) <= acceptance_rate(plain)
+    for i in range(4):
+        x = screened.samples[:, i]
+        ess = x.shape[0] / integrated_autocorr_time(x)
+        error = math.sqrt(cov[i, i] / ess)
+        assert abs(x.mean() - mean[i]) <= 4.0 * error
 
 
 def test_iact_iid_is_near_one():
