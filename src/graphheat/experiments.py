@@ -135,7 +135,8 @@ class ExperimentConfig:
     def to_json(self):
         d = {"schema": SCHEMA_VERSION}
         d.update(dataclasses.asdict(self))
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+        return json.dumps(d, indent=2, sort_keys=True,
+                          default=_plain) + "\n"
 
     @classmethod
     def from_json(cls, text):
@@ -163,6 +164,13 @@ class ExperimentConfig:
 
 def _is(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _plain(value):
+    """A numpy number, which validate_config accepts, as its Python value."""
+    if isinstance(value, np.number):
+        return value.item()
+    raise TypeError("%r is not JSON serializable" % (value,))
 
 
 def validate_config(cfg):
@@ -216,7 +224,8 @@ def validate_config(cfg):
                     "mode")
     if "s" in parts and cfg.s <= 2:
         errs.append("s: must exceed the intrinsic dimension m=2 of the sphere")
-    if cfg.k_n != "auto" and (not _is(cfg.k_n, int) or cfg.k_n < 1):
+    if cfg.k_n != "auto" and (not _is(cfg.k_n, numbers.Integral)
+                              or cfg.k_n < 1):
         errs.append('k_n: must be a positive integer or "auto"')
     if "chain" in parts:
         if not 0.0 < cfg.beta <= 1.0:
@@ -411,6 +420,8 @@ def _sweep_points(cfg, pairs):
 
 
 def _compare_points(cfg, pairs):
+    # One call per point, so a point's arrays are freed before the next
+    # point builds its own.
     return [_compare_point(cfg, n, replicate) for n, replicate in pairs]
 
 
@@ -422,13 +433,16 @@ def _compare_point(cfg, n, replicate):
     push = knn_interpolate(orc.mean, cl, cfg.knn_k, grid.points)
     # Continuum prior truncated at the same harmonic count as the graph
     # prior, so the two posteriors see matching model classes.
-    l_cont = 0
-    while (l_cont + 2) ** 2 <= spec.k_n and l_cont < cfg.l_max:
-        l_cont += 1
-    co = continuum_posterior(y, ContinuumBasis(l_cont), spec, cfg.t, model,
-                             grid.points, cl)
+    co = continuum_posterior(
+        y, ContinuumBasis(_continuum_degree(spec.k_n, cfg.l_max)), spec,
+        cfg.t, model, grid.points, cl)
     return {"distance": float(l2_distance(push, co.mean)),
             "solver": basis.solver, "residual": basis.residual}
+
+
+def _continuum_degree(k_n, l_max):
+    """The largest degree L with (L + 1)^2 <= k_n harmonics, capped at l_max."""
+    return min(l_max, math.isqrt(k_n) - 1)
 
 
 # Top level so a process pool can pickle it.
@@ -467,17 +481,11 @@ def _run_grid(cfg, jobs, points):
 # --- CSV / SVG formatting ------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
-
-
 def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """Rows of floats and ints: "%.17g" writes an int as str does."""
+    line = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header)]
+                     + [line % tuple(row) for row in rows]) + "\n"
 
 
 def _svg_line_plot(title, xlabel, ylabel, series):
@@ -594,45 +602,39 @@ def _run_regularity(cfg, jobs):
 
 def _run_posterior(cfg, jobs):
     cl, basis, spec, y, mat, phi, sc = _chain_problem(cfg, cfg.n, cfg.p, 0)
-    surrogate = None
+    model = NoiseModel(cfg.noise, cfg.sigma)
+    header = ["x", "y", "z", "chain_mean"]
     if cfg.noise == "probit":
-        surrogate = laplace_surrogate(mat, y, NoiseModel(cfg.noise, cfg.sigma),
-                                      spec.truncated_scales(basis) ** 2)
-    chain = pcn(basis, spec, phi, sc, surrogate=surrogate)
-    mean = posterior_mean(chain, basis)
-    trace = chain.samples @ basis.eigenvectors[0, :]
-    iact = integrated_autocorr_time(trace)
-    metrics = {
+        chain = pcn(basis, spec, phi, sc, surrogate=laplace_surrogate(
+            mat, y, model, spec.truncated_scales(basis) ** 2))
+        mean = posterior_mean(chain, basis)
+        metrics = {"potential_evaluations": chain.potential_calls,
+                   "screen_pass": (chain.potential_calls - 1) / chain.proposed}
+        # classify by the sign of the posterior mean, zero -> +1
+        header += ["class"]
+        extra = [np.where(mean >= 0.0, 1, -1)]
+    else:
+        chain = pcn(basis, spec, phi, sc)
+        mean = posterior_mean(chain, basis)
+        orc = graph_posterior(y, basis, spec, cfg.t, model)
+        ref = l2_distance(orc.mean, np.zeros_like(orc.mean))
+        metrics = {"rel_l2_mean_error_vs_oracle":
+                   l2_distance(mean, orc.mean) / ref if ref else math.nan}
+        header += ["oracle_mean", "oracle_sd"]
+        extra = [orc.mean, np.sqrt(orc.variance)]
+    iact = integrated_autocorr_time(chain.samples @ basis.eigenvectors[0, :])
+    metrics.update({
         "acceptance": acceptance_rate(chain),
         "stationary_acceptance": stationary_acceptance(chain),
         "iact_u_x1": iact,
         "ess_u_x1": chain.n_retained / iact,
-    }
-    if surrogate is not None:
-        metrics["potential_evaluations"] = chain.potential_calls
-        metrics["screen_pass"] = (chain.potential_calls - 1) / chain.proposed
-    header = ["x", "y", "z", "chain_mean"]
-    cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2], mean]
-    if cfg.noise == "gaussian":
-        orc = graph_posterior(y, basis, spec, cfg.t,
-                              NoiseModel(cfg.noise, cfg.sigma))
-        header += ["oracle_mean", "oracle_sd"]
-        cols += [orc.mean, np.sqrt(orc.variance)]
-        ref = l2_distance(orc.mean, np.zeros_like(orc.mean))
-        err = l2_distance(mean, orc.mean)
-        metrics["rel_l2_mean_error_vs_oracle"] = err / ref if ref else math.nan
-    else:
-        # probit: classify by the sign of the posterior mean, zero -> +1
-        header += ["class"]
-        cols += [np.where(mean >= 0.0, 1, -1)]
-    rows = list(zip(*[np.asarray(c, dtype=float) for c in cols]))
-    files = {"posterior_mean.csv": _csv(header, rows)}
+    })
+    files = {"posterior_mean.csv": _csv(
+        header, np.column_stack([cl.points, mean] + extra))}
     grid = sphere_mc_grid(cfg.grid_size)
     push = knn_interpolate(mean, cl, 4, grid.points)   # k=4 for fields
-    files["pushforward.csv"] = _csv(
-        ("x", "y", "z", "value"),
-        list(zip(grid.points[:, 0], grid.points[:, 1], grid.points[:, 2],
-                 push)))
+    files["pushforward.csv"] = _csv(("x", "y", "z", "value"),
+                                    np.column_stack((grid.points, push)))
     return files, metrics, [(cfg.n, 0, basis.solver, basis.residual)]
 
 
@@ -681,9 +683,8 @@ def _run_prior_sample(cfg, jobs):
     draws = [sample_graph_prior(basis, spec, 700 + cfg.seed + j)
              for j in range(cfg.draws)]
     header = ["x", "y", "z"] + ["draw_%d" % j for j in range(cfg.draws)]
-    cols = [cl.points[:, 0], cl.points[:, 1], cl.points[:, 2]]
-    cols += draws
-    files = {"prior_draws.csv": _csv(header, list(zip(*cols)))}
+    files = {"prior_draws.csv": _csv(header,
+                                     np.column_stack([cl.points] + draws))}
     return files, {}, [(cfg.n, 0, basis.solver, basis.residual)]
 
 

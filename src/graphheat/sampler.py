@@ -7,31 +7,30 @@ the prior is diagonal in the eigenbasis.  Acceptance depends only on the
 misfit potential.  An initial-monotone-sequence autocorrelation estimator
 rounds out the module.
 
-One kernel advances C chains in lockstep, a block of steps at a time.  It
-first takes the block's draws, chain by chain, scales the normals and takes
-the logs of the uniforms in bulk; then each step forms all C proposals with
-two ufuncs over (C, k) arrays.  ``pcn`` takes any list of chains and alone
-decides which step together: those whose potentials are ``GaussianMisfit``
-of one shape under one config apart from the seed.  One batched product
-then gives all C misfits, and the accepts go through masks; misfits of
-mixed shapes are not stacked, because padding them to one row count would
-change the bits of the shorter designs' rows.  Every other chain (a probit
-closure, a misfit without a partner of its shape and config) runs alone,
-one after another, as a single chain (C = 1) that calls its potential and
-accepts on its own.
+One kernel advances C chains in lockstep, a block of steps at a time: it
+takes the block's draws chain by chain, scales the normals and logs the
+uniforms in bulk, then forms each step's C proposals with two ufuncs over
+(C, k) arrays.  ``pcn`` alone decides which chains step together: those
+whose potentials are ``GaussianMisfit`` of one shape under one config
+apart from the seed.  Misfits of mixed shapes are not stacked, because
+padding them to one row count would change the bits of the shorter
+designs' rows.  Every other chain (a probit closure, a misfit without a
+partner) runs alone, one after another, as a single chain (C = 1).
 
-A chain may carry a ``surrogate``, a cheap potential S (the probit
-posterior run passes ``oracle.laplace_surrogate``'s) that screens each
-proposal before the potential Phi is called: delayed acceptance
-(Christen & Fox, 2005).  With ds = S(a) - S(a'), d = Phi(a) - Phi(a') and
-log u the step's one uniform, the proposal is rejected without calling Phi
-when log u > min(0, ds), and otherwise accepted iff
-log u <= min(0, ds) + min(0, d - ds).  So it is accepted with probability
-min(1, e^ds) min(1, e^(d - ds)), the two-stage kernel, which is reversible
-for the same posterior: S decides only how many calls Phi takes, never the
-target.  A proposal where S is not finite is rejected at the first
-stage.  With S = Phi the chain is bit for bit the plain one.  Only the
-single-chain form takes a surrogate.
+The accept rule is delayed acceptance (Christen & Fox, 2005): a cheap
+potential S, the ``surrogate``, screens each proposal before the potential
+Phi is called.  With ds = S(a) - S(a'), d = Phi(a) - Phi(a') and log u the
+step's one uniform, the proposal is rejected without calling Phi when
+log u > min(0, ds), and otherwise accepted iff
+log u <= min(0, ds) + min(0, d - ds): with probability
+min(1, e^ds) min(1, e^(d - ds)), a kernel reversible for the same
+posterior, so S decides only how many calls Phi takes.  A proposal where S
+is not finite is rejected.  A chain without a surrogate has S = 0, whose
+screen passes every proposal (log u <= 0), which leaves plain pCN's
+log u <= d bit for bit; so does S = Phi.  A single chain steps this scalar
+rule.  C > 1 chains take no surrogate: they evaluate their misfits in one
+batched product and accept through masks.  The probit posterior run
+screens with ``oracle.laplace_surrogate``'s S.
 
 Stream contract: each step draws k standard normals, then one uniform, from
 the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
@@ -39,10 +38,9 @@ chain bit for bit, whether it runs alone or in lockstep with others, and
 whichever path evaluates its potential; a screened chain draws the same
 stream.  Drawing a block ahead keeps that order; a uniform is formed from
 the bit generator's raw 64-bit output as ``Generator.random`` forms it,
-(raw >> 11) * 2^-53.  The log of the uniform
-is taken with ``np.log`` on purpose: ``math.log`` differs from it in the
-last bit on some uniforms, which can flip an acceptance and change every
-later state.  ``np.log`` over a block of uniforms gives each the bits of
+(raw >> 11) * 2^-53.  The log of the uniform is taken with ``np.log`` on
+purpose: ``math.log`` differs from it in the last bit on some uniforms,
+which can flip an acceptance and change every later state.  ``np.log`` over a block of uniforms gives each the bits of
 ``np.log`` on it alone.
 """
 
@@ -108,7 +106,8 @@ class ChainResult:
         Accepts among the proposed - burn_in steps after burn-in.
     potential_calls : int
         Calls of the potential, the one at the initial state included:
-        proposed + 1, or 1 + the proposals a surrogate let through.
+        1 + the proposals that passed the screen, which is proposed + 1
+        for a chain without a surrogate.
     """
 
     def __init__(self, samples, accepted, proposed, config,
@@ -158,15 +157,14 @@ def _draw(rng, xi, uniforms):
     np.multiply(np.array(drawn, dtype=np.uint64) >> 11, 2.0**-53, out=uniforms)
 
 
-def _lockstep(bases, prior_specs, potentials, configs, readouts,
-              surrogate=None):
+def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
     """Advance one chain, or GaussianMisfit chains of one shape, together.
 
     The chains share every config field but the seed.  Returns one
     ChainResult per chain, each equal bit for bit to the chain run alone.
-    A single chain calls even a GaussianMisfit, which costs fewer ufuncs
-    per step than the masks.  Only a single chain takes a surrogate, which
-    screens its proposals (see the module docstring).
+    A single chain takes the scalar step, S = 0 without a surrogate, and
+    calls even a GaussianMisfit, which costs fewer ufuncs per step than
+    the masks; C > 1 chains take the masked step (see the module docstring).
     """
     chains = len(potentials)
     config = configs[0]
@@ -186,13 +184,12 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts,
         if not math.isfinite(phi[c]):
             raise ValueError("potential is not finite at the zero initial "
                              "state (chain seed %d)" % seeds[c])
-    reached = config.iterations      # proposals that reach the potential
-    if surrogate is not None:
-        screened = surrogate(state_row)
-        if not math.isfinite(screened):
-            raise ValueError("surrogate is not finite at the zero initial "
-                             "state (chain seed %d)" % seeds[0])
-        reached = 0
+    screened = 0.0 if surrogate is None else surrogate(state_row)
+    if not math.isfinite(screened):
+        raise ValueError("surrogate is not finite at the zero initial "
+                         "state (chain seed %d)" % seeds[0])
+    # proposals that reach the potential: all of them past the masks
+    reached = 0 if chains == 1 else config.iterations
     steps = min(config.iterations,
                 max(1, _DRAW_BYTES // (8 * chains * (k + 3))))
     xi = np.empty((steps, chains, k))
@@ -228,8 +225,8 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts,
                                                  xi, log_u, phi_cand, ok):
             np.multiply(state, contraction, cand)
             np.add(cand, xi_j, cand)
-            if surrogate is not None:
-                value = surrogate(cand_row)
+            if chains == 1:
+                value = 0.0 if surrogate is None else surrogate(cand_row)
                 drop = screened - value
                 screen = min(0.0, drop)
                 ok_j[0] = accept = False
@@ -243,13 +240,6 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts,
                 if accept:
                     state_row[:] = cand_row
                     phi[0], screened = full, value
-            elif chains == 1:
-                phi_j[0] = value = potential(cand_row)
-                ok_j[0] = accept = (math.isfinite(value)
-                                    and log_u_j[0] <= phi[0] - value)
-                if accept:
-                    state_row[:] = cand_row
-                    phi[0] = value
             else:
                 batch(cand, phi_j)
                 np.subtract(phi, phi_j, diff)
@@ -298,8 +288,9 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
         called (delayed acceptance, see the module docstring); a proposal
         where it is not finite is rejected.  The chain keeps its target
         and random stream; its acceptance is the screened chain's, lower
-        than plain pCN's by as much as S misjudges Phi.  Single-chain form
-        only.
+        than plain pCN's by as much as S misjudges Phi.  Without one the
+        screen is S = 0, which passes every proposal, so the chain is
+        plain pCN.  Single-chain form only.
 
     Returns a ChainResult.  To run C chains, pass basis, prior_spec,
     potential, config and readout (if any) as sequences of C entries, one
@@ -309,11 +300,12 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
     business (see the module docstring); a chain run alone keeps its
     design in cache through its whole run.
     """
-    if callable(potential):
-        return _lockstep([basis], [prior_spec], [potential], [config],
-                         None if readout is None else [readout],
-                         surrogate)[0]
-    if surrogate is not None:
+    single = callable(potential)
+    if single:
+        basis, prior_spec, potential, config = ([basis], [prior_spec],
+                                                [potential], [config])
+        readout = None if readout is None else [readout]
+    elif surrogate is not None:
         raise ValueError("a surrogate screens a single chain: pass one "
                          "potential, not a sequence")
     chains = len(potential)
@@ -321,6 +313,11 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
             and (readout is None or len(readout) == chains)):
         raise ValueError("need one basis, prior spec, config and readout "
                          "per potential")
+    for c, vector in enumerate(() if readout is None else readout):
+        k = prior_spec[c].truncated_scales(basis[c]).shape
+        if np.shape(vector) != k:
+            raise ValueError("readout %d: need shape %s, one entry per "
+                             "coefficient, got %s" % (c, k, np.shape(vector)))
     groups = {}
     for c, (f, cfg) in enumerate(zip(potential, config)):
         key = ((f.matrix.shape, dataclasses.replace(cfg, seed=0))
@@ -330,9 +327,9 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
     for members in groups.values():
         args = [None if seq is None else [seq[c] for c in members]
                 for seq in (basis, prior_spec, potential, config, readout)]
-        for c, chain in zip(members, _lockstep(*args)):
+        for c, chain in zip(members, _lockstep(*args, surrogate)):
             results[c] = chain
-    return ChainBatch(results)
+    return results[0] if single else ChainBatch(results)
 
 
 def acceptance_rate(chain):

@@ -31,6 +31,37 @@ def test_config_json_round_trip():
     assert isinstance(again.n_grid, tuple)
 
 
+def test_numpy_integers_validate_and_serialize(tmp_path):
+    # validate_config takes numpy integers in every integer field, k_n
+    # included, so to_json writes them and the run's manifest gets written.
+    numpy_ints = toy_cfg("prior-sample", n=np.int64(60), k_n=np.int64(8))
+    assert validate_config(numpy_ints) == []
+    assert numpy_ints.to_json() == toy_cfg("prior-sample", n=60,
+                                           k_n=8).to_json()
+    path = run_experiment(numpy_ints, out_dir=str(tmp_path))
+    assert json.load(open(path))["config"]["n"] == 60
+    sweep = toy_cfg("acceptance-sweep", n_grid=tuple(np.array([40, 60])))
+    assert validate_config(sweep) == []
+    assert (ExperimentConfig.from_json(sweep.to_json())
+            == toy_cfg("acceptance-sweep"))
+
+
+def test_csv_writes_each_value_in_full():
+    text = ex._csv(("i", "x", "nan", "inf", "zero"),
+                   [(3, -0.1, float("nan"), float("-inf"), -0.0)])
+    assert text == "i,x,nan,inf,zero\n3,-0.10000000000000001,nan,-inf,-0\n"
+
+
+def test_continuum_degree_matches_the_counting_loop():
+    # The largest L with (L + 1)^2 <= k_n harmonics, capped at l_max.
+    for k_n in range(1, 61):
+        for l_max in range(3, 9):
+            degree = 0
+            while (degree + 2) ** 2 <= k_n and degree < l_max:
+                degree += 1
+            assert ex._continuum_degree(k_n, l_max) == degree
+
+
 def test_config_rejects_unknown_and_wrong_schema():
     with pytest.raises(ValueError, match="unknown config fields: beta_max"):
         ExperimentConfig.from_json('{"kind": "spectra", "beta_max": 1}')

@@ -179,14 +179,18 @@ REFERENCE_SPEC = PriorSpec(alpha=1.0, s=5.0)
 
 
 @pytest.mark.parametrize("sampler", ["pcn"])
-@pytest.mark.parametrize("target", ["design", "non-finite"])
+@pytest.mark.parametrize("target", ["design", "non-finite", "probit"])
 def test_kernel_reproduces_reference_loop(sampler, target):
+    # A lone chain without a surrogate takes the delayed-acceptance step
+    # with screen S = 0; the plain one-stage loop pins it on every target.
     cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, thinning=3,
                         seed=11)
     scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
     if target == "design":
         mat, y, fast = gaussian_design_problem(4, 12, 0.4, seed=12)
         slow = residual_potential(mat, y, 0.4)
+    elif target == "probit":
+        fast = slow = probit_design_potential(4, 9, 0.5, 16)
     else:
         fast = slow = finite_near_zero
     chain = pcn(REFERENCE_BASIS, REFERENCE_SPEC, fast, cfg)
@@ -332,6 +336,19 @@ def test_lockstep_refuses_mismatched_chains():
     with pytest.raises(ValueError, match="one basis, prior spec"):
         pcn([FlatBasis(2)] * 2, [SPEC] * 2, phi, [cfg] * 2,
             readout=[np.ones(2)])
+
+
+def test_pcn_refuses_a_readout_of_the_wrong_shape():
+    # Refused before the first potential call, not after the whole chain.
+    calls = []
+    phi = counted(ZERO_POTENTIAL, calls)
+    cfg = SamplerConfig(beta=0.5, iterations=2000)
+    with pytest.raises(ValueError, match=r"readout 1: need shape \(4,\)"):
+        pcn([REFERENCE_BASIS] * 2, [REFERENCE_SPEC] * 2, [phi] * 2,
+            [cfg] * 2, readout=[np.ones(4), np.ones((4, 2))])
+    with pytest.raises(ValueError, match=r"readout 0: need shape \(4,\)"):
+        pcn(REFERENCE_BASIS, REFERENCE_SPEC, phi, cfg, readout=np.ones(3))
+    assert calls == []
 
 
 def test_pcn_groups_any_chains_as_if_alone(monkeypatch):
