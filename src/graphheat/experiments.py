@@ -98,10 +98,12 @@ DEFAULT_TRUTH = (
 DEFAULT_N_GRID = (300, 600, 900, 1200, 1500, 2000)
 
 # Field types that validate_config checks before any value.
-_INTS = ("n", "p", "iterations", "burn_in", "thinning", "seed",
-         "replicates", "l_max", "draws", "grid_size", "knn_k")
+_INTS = ("n", "p", "iterations", "burn_in", "seed", "replicates", "l_max",
+         "draws", "grid_size", "knn_k")
 _NUMBERS = ("eps_multiplier", "alpha", "s", "t", "sigma", "beta")
 _LISTS = ("n_grid", "eps_multipliers", "s_grid")
+# Retired fields and the one value an older manifest may echo for each.
+_RETIRED = {"m": 2, "thinning": 1, "calibration": "sphere"}
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,11 @@ class ExperimentConfig:
     beta: float = 0.01
     iterations: int = 100000
     burn_in: int = 10000
-    thinning: int = 1
     seed: int = 0
     replicates: int = 1
     l_max: int = 6
     s_grid: tuple = (2, 3, 4, 5, 6, 7, 8)
     draws: int = 100
-    calibration: object = "sphere"   # "sphere" for the S^2 rate, or a number
     grid_size: int = 10000
     knn_k: int = 1
     out: str = "results"
@@ -148,10 +148,11 @@ class ExperimentConfig:
         schema = d.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ValueError("unsupported config schema %r" % (schema,))
-        # older manifests echo m, the intrinsic dimension of the sphere
-        m = d.pop("m", 2)
-        if not (_is(m, numbers.Integral) and m == 2):
-            raise ValueError("m: must be 2 (the sphere), got %r" % (m,))
+        for key, value in _RETIRED.items():
+            old = d.pop(key, value)
+            if not (type(old) is type(value) and old == value):
+                raise ValueError("%s: retired, must be %r, got %r"
+                                 % (key, value, old))
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -234,12 +235,9 @@ def validate_config(cfg):
             errs.append("iterations: must be positive")
         if not 0 <= cfg.burn_in < cfg.iterations:
             errs.append("burn_in: must lie in [0, iterations)")
-        if cfg.thinning < 1:
-            errs.append("thinning: must be at least 1")
-        elif (0 <= cfg.burn_in < cfg.iterations and len(range(
-                cfg.burn_in, cfg.iterations, cfg.thinning)) < 4):
+        elif cfg.iterations - cfg.burn_in < 4:
             errs.append("iterations: the IACT needs at least 4 samples kept "
-                        "after burn_in and thinning")
+                        "after burn_in")
     if "p" in parts:
         if cfg.p < 1:
             errs.append("p: must be positive")
@@ -270,9 +268,6 @@ def validate_config(cfg):
         errs.append("replicates: must be at least 1")
     if cfg.seed < 0:
         errs.append("seed: must be nonnegative")
-    if cfg.calibration != "sphere" and not (
-            _is(cfg.calibration, numbers.Real) and cfg.calibration > 0):
-        errs.append('calibration: must be "sphere" or a positive number')
     if cfg.grid_size < 1:
         errs.append("grid_size: must be positive")
     if cfg.knn_k < 1:
@@ -283,12 +278,6 @@ def validate_config(cfg):
 
 
 # --- shared pieces -------------------------------------------------------
-
-
-def _calibration(cfg, n):
-    if cfg.calibration == "sphere":
-        return sphere_calibration(n)
-    return float(cfg.calibration)
 
 
 def _seed_record(cfg, n, replicate):
@@ -310,7 +299,7 @@ def _basis(cfg, cl, k, eps_multiplier=None):
     eps = default_eps(cl.n, cl.intrinsic_dim,
                       eps_multiplier or cfg.eps_multiplier)
     g = build_eps_graph(cl, eps)
-    lap = laplacian(g, calibration=_calibration(cfg, cl.n))
+    lap = laplacian(g, calibration=sphere_calibration(cl.n))
     return eigendecompose(lap, k), eps
 
 
@@ -360,7 +349,7 @@ def _chain_problem(cfg, n, p, replicate):
     phi = potential_from_design_matrix(mat, y,
                                        NoiseModel(cfg.noise, cfg.sigma))
     sc = SamplerConfig(beta=cfg.beta, iterations=cfg.iterations,
-                       burn_in=cfg.burn_in, thinning=cfg.thinning,
+                       burn_in=cfg.burn_in,
                        seed=_seed_record(cfg, n, replicate)["chain_seed"])
     return cl, basis, spec, y, mat, phi, sc
 
@@ -445,12 +434,6 @@ def _continuum_degree(k_n, l_max):
     return min(l_max, math.isqrt(k_n) - 1)
 
 
-# Top level so a process pool can pickle it.
-def _grid_worker(args):
-    points, cfg_json, pairs = args
-    return points(ExperimentConfig.from_json(cfg_json), pairs)
-
-
 def _run_grid(cfg, jobs, points):
     """points(cfg, pairs) over cfg.n_grid x replicates, in `jobs` processes.
 
@@ -467,11 +450,11 @@ def _run_grid(cfg, jobs, points):
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, len(pairs))
-        args = [(points, cfg.to_json(), pairs[w::workers])
-                for w in range(workers)]
         values = [None] * len(pairs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for w, part in enumerate(pool.map(_grid_worker, args)):
+            for w, part in enumerate(pool.map(
+                    points, [cfg] * workers,
+                    [pairs[w::workers] for w in range(workers)])):
                 values[w::workers] = part
     points = [(n, r, v["solver"], v["residual"])
               for (n, r), v in zip(pairs, values)]
@@ -755,7 +738,7 @@ def run_experiment(cfg, out_dir=None, jobs=1):
         path = os.path.join(out, "manifest.json")
         written.append(path)
         with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, default=_plain)
             fh.write("\n")
     except BaseException:
         for path in written:

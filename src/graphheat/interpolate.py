@@ -21,7 +21,6 @@ tests keep as the reference.
 import numpy as np
 
 from .cloud import _nearest_indices, sample_sphere
-from .prior import _nodal_values
 
 DEFAULT_GRID_SEED = 1729
 DEFAULT_GRID_SIZE = 10**4
@@ -30,9 +29,12 @@ DEFAULT_GRID_SIZE = 10**4
 def knn_interpolate(u, cloud, k, queries):
     """Mean of the k nearest nodal values at each query point.
 
-    u is an array of cloud.n nodal values.
+    u is a vector of cloud.n nodal values.
     """
-    values = _nodal_values(u, cloud)
+    values = np.asarray(u, dtype=float)
+    if values.shape != (cloud.n,):
+        raise ValueError("expected %d nodal values, got shape %s"
+                         % (cloud.n, values.shape))
     idx = _nearest_indices(cloud, queries, k)
     return values[idx].mean(axis=1)
 

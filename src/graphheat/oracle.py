@@ -126,6 +126,8 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
+    if draws < 1:
+        raise ValueError("draws must be at least 1, got %r" % (draws,))
     s, _, proj = _whitened_svd(mat, d_u, y, sigma)
     shrink = 1.0 / (1.0 + s * s)
     rho = np.sqrt(1.0 - beta**2)

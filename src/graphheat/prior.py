@@ -207,7 +207,7 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
                     raise ValueError(
                         "s=%g: %d consecutive prior draws had H^s seminorm "
                         "below 1e-14; the graph spectrum is too small for "
-                        "this s (raise calibration or eps_multiplier)"
+                        "this s (raise eps_multiplier or calibration)"
                         % (s, MAX_REDRAWS + 1)
                     )
             unit.append(coeffs / np.sqrt(sem)[:, None])

@@ -69,16 +69,15 @@ _DRAW_BYTES = 1 << 17
 class SamplerConfig:
     """Chain length and proposal parameters.
 
-    beta in (0, 1]; burn_in iterations are discarded, the rest kept every
-    `thinning` steps.  Identical config and seed give bit-identical chains:
-    every step draws k normals, then one uniform, from default_rng(seed).
+    beta in (0, 1]; burn_in iterations are discarded, every later state is
+    kept.  Identical config and seed give bit-identical chains: every step
+    draws k normals, then one uniform, from default_rng(seed).
     """
 
     beta: float
     iterations: int
     burn_in: int = 0
     seed: int = 0
-    thinning: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -87,8 +86,6 @@ class SamplerConfig:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must be in [0, iterations)")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
 
 
 class ChainResult:
@@ -97,7 +94,7 @@ class ChainResult:
     Attributes
     ----------
     samples : (n_retained, k) array, or None
-        Post burn-in states, thinned; None when the chain kept a readout.
+        Post burn-in states; None when the chain kept a readout.
     trace : (n_retained,) array, or None
         state @ readout at the same steps; None when the chain kept states.
     accepted, proposed : int
@@ -198,8 +195,7 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
     ok = np.empty((steps, chains), dtype=bool)
     diff = np.empty(chains)
     burn_in = config.burn_in
-    kept = range(burn_in, config.iterations, config.thinning)
-    n_kept = len(kept)
+    n_kept = config.iterations - burn_in
     if readouts is None:
         ends = [n_kept]
         block = np.empty((chains, n_kept, k))
@@ -246,7 +242,7 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
                 np.less_equal(log_u_j, diff, ok_j)
                 np.copyto(state, cand, where=ok_j[:, None])
                 np.copyto(phi, phi_j, where=ok_j)
-            if j in kept:
+            if j >= burn_in:
                 block[:, row - start] = state
                 row += 1
                 if row == end and readouts is not None:

@@ -40,6 +40,14 @@ def test_numpy_integers_validate_and_serialize(tmp_path):
                                            k_n=8).to_json()
     path = run_experiment(numpy_ints, out_dir=str(tmp_path))
     assert json.load(open(path))["config"]["n"] == 60
+
+    # a numpy seed makes numpy seed records, which the manifest writes too
+    def seeds(seed, name):
+        path = run_experiment(toy_cfg("prior-sample", seed=seed),
+                              out_dir=str(tmp_path / name))
+        return json.load(open(path))["seeds"]
+
+    assert seeds(np.int64(3), "numpy") == seeds(3, "int")
     sweep = toy_cfg("acceptance-sweep", n_grid=tuple(np.array([40, 60])))
     assert validate_config(sweep) == []
     assert (ExperimentConfig.from_json(sweep.to_json())
@@ -110,8 +118,8 @@ def test_validate_field_errors(tmp_path):
         # too few retained samples for the IACT
         (C(kind="posterior", n=60, p=10, iterations=10, burn_in=8),
          "iterations"),
-        (C(kind="supervised-sweep", n_grid=(40,), iterations=100, burn_in=10,
-           thinning=40), "iterations"),
+        (C(kind="supervised-sweep", n_grid=(40,), iterations=13, burn_in=10),
+         "iterations"),
         (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
         (C(kind="posterior", n=3, p=2), "n"),
         # both would write spectra_eps2.csv
@@ -125,7 +133,6 @@ def test_validate_field_errors(tmp_path):
         (C(kind="spectra", eps_multipliers=("2",)), "eps_multipliers"),
         (C(kind="posterior", n=60, p=10, beta=True), "beta"),
         (C(kind="posterior", n=60, p=10, k_n=True), "k_n"),
-        (C(kind="prior-sample", n=30, calibration=True), "calibration"),
         (C(kind="spectra", out=5), "out"),
         # a repeated size would run its points twice on the same seeds
         (C(kind="acceptance-sweep", n_grid=(40, 60, 40), p=10), "n_grid"),
@@ -175,17 +182,22 @@ def test_each_kind_checks_exactly_the_parts_it_reads(kind):
 
 
 def test_manifest_with_the_old_m_field(tmp_path):
-    # manifests once echoed m, the sphere's intrinsic dimension 2
-    files, man = run_outputs(toy_cfg("spectra"), tmp_path / "a")
+    # manifests once echoed m, the sphere's intrinsic dimension 2, the chain
+    # thinning 1 and the Laplacian calibration "sphere": each replays at
+    # that value, and any other is refused
+    files, man = run_outputs(toy_cfg("posterior"), tmp_path / "a")
     old = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    old["config"]["m"] = 2
+    old["config"].update(m=2, thinning=1, calibration="sphere")
     cfg = ExperimentConfig.from_json(json.dumps(old))
-    assert cfg == toy_cfg("spectra")
+    assert cfg == toy_cfg("posterior")
     assert run_outputs(cfg, tmp_path / "b") == (files, man)
-    for m in (3, 1, 2.0, True, "2"):
-        old["config"]["m"] = m
-        with pytest.raises(ValueError, match="^m: "):
-            ExperimentConfig.from_json(json.dumps(old))
+    for field, value in [("m", 3), ("m", 1), ("m", 2.0), ("m", True),
+                         ("m", "2"), ("thinning", 2), ("thinning", 1.0),
+                         ("thinning", True), ("calibration", 3.0),
+                         ("calibration", 1)]:
+        bad = dict(old, config=dict(old["config"], **{field: value}))
+        with pytest.raises(ValueError, match="^%s: " % field):
+            ExperimentConfig.from_json(json.dumps(bad))
 
 
 def test_catalog_covers_all_kinds():
@@ -262,7 +274,6 @@ REPLAY_CASES = {
     "supervised-sweep": toy_cfg("supervised-sweep"),
     "oracle-compare-auto-knn2": toy_cfg("oracle-compare", k_n="auto",
                                         knn_k=2),
-    "prior-sample-calibration": toy_cfg("prior-sample", calibration=2.0),
 }
 
 
@@ -513,8 +524,8 @@ def test_grid_starts_no_more_workers_than_points(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = toy_cfg("oracle-compare", replicates=1)

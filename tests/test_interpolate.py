@@ -53,7 +53,7 @@ def test_k_out_of_range():
 def test_bad_queries_rejected():
     # a NaN query used to get an answer; a wrong dimension failed on
     # broadcasting; too many nodal values were accepted and too few gave
-    # an IndexError
+    # an IndexError; a batch of rows was indexed along the wrong axis
     cl = square_cloud()
     u = np.arange(4.0)
     q = np.array([[0.5, 0.5]])
@@ -63,6 +63,8 @@ def test_bad_queries_rejected():
         (u, [[0.0, -np.inf]], "queries"),
         (np.arange(5.0), q, r"4 nodal values, got shape \(5,\)"),
         (np.arange(3.0), q, r"4 nodal values, got shape \(3,\)"),
+        (np.zeros((2, 4)), q, r"4 nodal values, got shape \(2, 4\)"),
+        (np.zeros((5, 4)), q, r"4 nodal values, got shape \(5, 4\)"),
     ):
         with pytest.raises(ValueError, match=match):
             knn_interpolate(values, cl, 1, np.array(queries))

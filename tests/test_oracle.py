@@ -344,6 +344,9 @@ def test_predicted_acceptance_matches_direct_draws(p):
         assert got == pytest.approx(direct, abs=0.006)
     with pytest.raises(ValueError):
         predicted_acceptance(mat, d_u, y, sigma, 0.0)
+    for draws in (0, -5):
+        with pytest.raises(ValueError, match="draws"):
+            predicted_acceptance(mat, d_u, y, sigma, 0.3, draws=draws)
 
 
 def probit_problem(p, k, sigma, seed, noise=0.3):

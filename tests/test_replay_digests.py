@@ -45,8 +45,16 @@ def test_digests_drop_wall_time_and_out(tmp_path):
         (tmp_path / run / "runs.csv").write_text("n,acceptance\n40,0.5\n")
         (tmp_path / run / "manifest.json").write_text(json.dumps(
             {"config": {"out": out, "n": 40}, "wall_time_s": wall}))
-    first = _load_tool().digests(tmp_path / "a")
-    assert [name for name, _ in first] == ["manifest.json", "runs.csv"]
-    assert first == _load_tool().digests(tmp_path / "b")
+    digests = _load_tool().digests
+    first = digests(tmp_path / "a")
+    assert [name for name, _ in first] == ["manifest.json",
+                                           "manifest.json:config", "runs.csv"]
+    assert first == digests(tmp_path / "b")
+    # a config echo that gains or loses a field moves only the config line
+    (tmp_path / "b" / "manifest.json").write_text(json.dumps(
+        {"config": {"out": "results/b", "n": 40, "proposal": "pcn"},
+         "wall_time_s": 2.5}))
+    second = digests(tmp_path / "b")
+    assert [a == b for a, b in zip(first, second)] == [True, False, True]
     (tmp_path / "b" / "runs.csv").write_text("n,acceptance\n40,0.6\n")
-    assert first != _load_tool().digests(tmp_path / "b")
+    assert digests(tmp_path / "b")[2] != first[2]

@@ -52,8 +52,6 @@ def test_config_validation():
         SamplerConfig(beta=0.5, iterations=0)
     with pytest.raises(ValueError):
         SamplerConfig(beta=0.5, iterations=10, burn_in=10)
-    with pytest.raises(ValueError):
-        SamplerConfig(beta=0.5, iterations=10, thinning=0)
 
 
 def test_chain_deterministic():
@@ -65,10 +63,10 @@ def test_chain_deterministic():
 
 
 def test_retention_bookkeeping():
-    cfg = SamplerConfig(beta=0.5, iterations=10, burn_in=4, thinning=2, seed=0)
+    cfg = SamplerConfig(beta=0.5, iterations=10, burn_in=4, seed=0)
     chain = pcn(FlatBasis(2), SPEC, ZERO_POTENTIAL, cfg)
-    # kept at iterations 4, 6, 8
-    assert chain.n_retained == 3
+    # kept at iterations 4 to 9
+    assert chain.n_retained == 6
     assert chain.proposed == 10
 
 
@@ -137,7 +135,7 @@ def reference_chain(scales, potential, config, proposal):
             state = cand
             phi = phi_cand
             accepted += 1
-        if j >= config.burn_in and (j - config.burn_in) % config.thinning == 0:
+        if j >= config.burn_in:
             retained.append(state.copy())
     return np.array(retained), accepted
 
@@ -183,8 +181,7 @@ REFERENCE_SPEC = PriorSpec(alpha=1.0, s=5.0)
 def test_kernel_reproduces_reference_loop(sampler, target):
     # A lone chain without a surrogate takes the delayed-acceptance step
     # with screen S = 0; the plain one-stage loop pins it on every target.
-    cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, thinning=3,
-                        seed=11)
+    cfg = SamplerConfig(beta=0.3, iterations=3000, burn_in=500, seed=11)
     scales = REFERENCE_SPEC.truncated_scales(REFERENCE_BASIS)
     if target == "design":
         mat, y, fast = gaussian_design_problem(4, 12, 0.4, seed=12)
@@ -197,7 +194,7 @@ def test_kernel_reproduces_reference_loop(sampler, target):
     proposal = reference_pcn(cfg.beta)
     samples, accepted = reference_chain(scales, slow, cfg, proposal)
     assert 0 < accepted < cfg.iterations
-    assert chain.samples.shape == samples.shape == (834, 4)
+    assert chain.samples.shape == samples.shape == (2500, 4)
     assert np.array_equal(chain.samples, samples)
     assert chain.accepted == accepted
     assert chain.proposed == cfg.iterations

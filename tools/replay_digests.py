@@ -5,9 +5,12 @@
 Runs the cases below with the ``graphheat`` package of the checkout SRC
 (``SRC/src``) and one BLAS thread, writes their outputs under OUT (which
 must not exist yet) and prints one line ``case file sha256`` per output
-file.  A manifest is hashed without ``wall_time_s`` and ``config.out``, the
-two fields that differ between identical runs.  The cases themselves come
-from this script's own checkout, so two checkouts run the same cases:
+file.  A manifest gives two lines: ``manifest.json`` hashes its results,
+without ``wall_time_s`` and the config echo, and ``manifest.json:config``
+hashes the config echo without ``out``, the path that differs between
+identical runs.  So a change to the config schema alone moves only the
+config lines.  The cases themselves come from this script's own checkout,
+so two checkouts run the same cases:
 
     python3 tools/replay_digests.py /path/to/parent /tmp/before > before.txt
     python3 tools/replay_digests.py . /tmp/after > after.txt
@@ -85,18 +88,26 @@ def cases():
     return out
 
 
+def _sha256(value):
+    return hashlib.sha256(
+        json.dumps(value, indent=2, sort_keys=True).encode()).hexdigest()
+
+
 def digests(out):
-    """(file, sha256) of every file in out, the manifest made replayable."""
+    """(file, sha256) of every file in out, the manifest split in two."""
     rows = []
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             data = fh.read()
-        if name == "manifest.json":
-            manifest = json.loads(data)
-            del manifest["wall_time_s"]
-            del manifest["config"]["out"]
-            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
-        rows.append((name, hashlib.sha256(data).hexdigest()))
+        if name != "manifest.json":
+            rows.append((name, hashlib.sha256(data).hexdigest()))
+            continue
+        manifest = json.loads(data)
+        del manifest["wall_time_s"]
+        config = manifest.pop("config")
+        del config["out"]
+        rows += [(name, _sha256(manifest)),
+                 (name + ":config", _sha256(config))]
     return rows
 
 
