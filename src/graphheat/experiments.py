@@ -167,6 +167,11 @@ def _is(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite(value):
+    # json reads a bare NaN or Infinity; NaN slips past every value check
+    return _is(value, numbers.Real) and abs(value) < math.inf
+
+
 def _plain(value):
     """A numpy number, which validate_config accepts, as its Python value."""
     if isinstance(value, np.number):
@@ -185,13 +190,13 @@ def validate_config(cfg):
                 % (cfg.kind, hint, ", ".join(KINDS))]
     errs = ["%s: must be an integer" % f for f in _INTS
             if not _is(getattr(cfg, f), numbers.Integral)]
-    errs += ["%s: must be a number" % f for f in _NUMBERS
-             if not _is(getattr(cfg, f), numbers.Real)]
+    errs += ["%s: must be a finite number, got %r" % (f, getattr(cfg, f))
+             for f in _NUMBERS if not _finite(getattr(cfg, f))]
     for f in _LISTS:
-        kind, what = ((numbers.Integral, "integers") if f == "n_grid"
-                      else (numbers.Real, "numbers"))
+        ok, what = ((lambda x: _is(x, numbers.Integral), "integers")
+                    if f == "n_grid" else (_finite, "finite numbers"))
         v = getattr(cfg, f)
-        if not (isinstance(v, (list, tuple)) and all(_is(x, kind) for x in v)):
+        if not (isinstance(v, (list, tuple)) and all(ok(x) for x in v)):
             errs.append("%s: must be a list of %s" % (f, what))
     if not isinstance(cfg.out, str):
         errs.append("out: must be a string")

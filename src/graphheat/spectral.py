@@ -7,11 +7,10 @@ l(l+1) with multiplicity 2l+1, real spherical harmonics normalized against the
 uniform probability measure.
 
 The graph eigensolver is picked from n and k alone.  A truncated basis
-(2k < n) comes from shift-invert Lanczos on the sparse Laplacian: one sparse
-LU factorization of L - sigma*I feeds ARPACK (``eigsh``), so no n x n array
-is formed.  The shift sigma = -1e-3 * trace(L)/n lies just below the
-spectrum on the matrix's own scale, so a calibration constant cannot slow
-convergence, and L - sigma*I stays positive definite.  The Lanczos start
+(2k < n) comes from Lanczos (ARPACK's ``eigsh``, smallest algebraic) on the
+sparse Laplacian itself: no factorization and no n x n array is formed.
+The low graph spectrum approaches the sphere's l(l+1), well separated from
+the rest, so the wanted pairs converge without a shift.  The Lanczos start
 vector is a fixed function of n, which keeps every result bit-reproducible
 (ARPACK's default start vector is random).  These eigenpairs agree with the
 dense solver's to about 1e-13.  A basis with 2k >= n (the full spectrum the
@@ -23,17 +22,18 @@ dimensions; it computes every pair and the first k are kept.
 A disconnected graph's null space is known exactly: the indicators of its
 c components.  Either solver leaves it to them, so the first min(k, c)
 pairs are eigenvalue 0 and the normalized indicators, whatever the
-solver's rounding.  Shift-invert then runs on the complement, with each
-component's mean subtracted from the operator's input and output and from
-the start vector; on the whole space, ARPACK's Krylov space can miss null
-vectors and return too few zero eigenvalues, with a small residual all
-the same.
+solver's rounding.  Lanczos then runs on L + top * Pi, where Pi spreads
+each component's mean over its points and top = 2 max(diag L) is
+Gershgorin's bound on the spectrum, from a start vector with the
+component means taken out.  The lift puts the null modes above every
+wanted pair; on L itself, rounding that leaks into the null space turns
+into extra zero eigenvalues, with a small residual all the same.
 """
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh
 from scipy.special import gammaln, lpmv
 
 
@@ -46,7 +46,7 @@ class SpectralBasis:
     by lowest index.
 
     ``solver`` names the eigensolver that produced the pairs ("dense" or
-    "shift-invert") and ``residual`` is its largest relative residual
+    "lanczos") and ``residual`` is its largest relative residual
     max_i |L psi_i - lambda_i psi_i| / max(1, |lambda_i|) over
     unit-Euclidean-norm psi_i.
     """
@@ -83,43 +83,37 @@ def _fix_signs(vecs):
     return np.negative(vecs, out=vecs, where=flip)
 
 
-def _shift_invert(mat, k, labels, sizes):
-    # L is positive semi-definite, so a negative shift keeps L - sigma*I
-    # positive definite and puts the k smallest eigenvalues nearest sigma
-    n = mat.shape[0]
-    sigma = -1e-3 * mat.diagonal().sum() / n
-    lu = splu(sparse.csc_matrix(mat - sigma * sparse.identity(n)),
-              permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+def _lanczos(mat, k, labels, sizes):
     # a fixed start vector: ARPACK's default is random, and np.ones(n) is
     # the null vector of a connected graph, on which Lanczos stops at once
+    n = mat.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
-    solve, ncv = lu.solve, None
+    op = mat
     if sizes.size > 1:
-        # the null space is known: subtracting each component's mean takes
-        # it out of the operator and the start vector, and the Krylov space
-        # stays within the n - c dimensions left
-        def project(v):
-            return v - (np.bincount(labels, v) / sizes)[labels]
+        # the null space is known: adding top times the projector onto the
+        # component indicators lifts it above the whole spectrum (top is
+        # Gershgorin's bound on L), so rounding that leaks into it cannot
+        # pass for a wanted pair near 0
+        def spread(v):
+            return (np.bincount(labels, v) / sizes)[labels]
 
-        def solve(v):
-            return project(lu.solve(project(v)))
-
-        v0 = project(v0)
-        ncv = min(n - sizes.size, max(2 * k + 1, 20))
+        top = 2.0 * mat.diagonal().max()
+        op = LinearOperator((n, n), matvec=lambda v: mat @ v + top * spread(v),
+                            dtype=float)
+        v0 = v0 - spread(v0)
     # with eigenvectors requested, eigsh returns ascending eigenvalues
-    return eigsh(mat, k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-                 OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
+    return eigsh(op, k, which="SA", v0=v0)
 
 
 def eigendecompose(lap, k):
     """The k smallest eigenpairs of a graph Laplacian, L^2(gamma_n)-orthonormal.
 
-    With 2k < n, shift-invert Lanczos on the sparse matrix (see the module
-    docstring); otherwise divide and conquer on the dense matrix.  The cut
-    depends on n and k only.  Eigenvalues within 1e-12 * max(1,
-    |lambda_k|) of zero are snapped to exactly 0.  A graph of c > 1
-    components gives eigenvalue 0 and its normalized component indicators,
-    ordered by lowest point index, as the first min(k, c) pairs.
+    With 2k < n, Lanczos on the sparse matrix (see the module docstring);
+    otherwise divide and conquer on the dense matrix.  The cut depends on
+    n and k only.  Eigenvalues within 1e-12 * max(1, |lambda_k|) of zero
+    are snapped to exactly 0.  A graph of c > 1 components gives
+    eigenvalue 0 and its normalized component indicators, ordered by
+    lowest point index, as the first min(k, c) pairs.
     """
     n = lap.shape[0]
     if not 1 <= k <= n:
@@ -132,9 +126,9 @@ def eigendecompose(lap, k):
     null = min(k, c) if c > 1 else 0
     vals, vecs = np.zeros(0), np.zeros((n, 0))
     if 2 * k < n:
-        solver = "shift-invert"
+        solver = "lanczos"
         if k > null:
-            vals, vecs = _shift_invert(lap, k - null, labels, sizes)
+            vals, vecs = _lanczos(lap, k - null, labels, sizes)
     else:
         solver = "dense"
         # the transpose of the fresh symmetric array is Fortran-ordered, so

@@ -59,6 +59,27 @@ def test_wrongly_typed_config_is_refused(tmp_path, capsys, cmd, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["validate", "run"])
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "posterior", "n": 60, "p": 10, "sigma": NaN}',
+     "sigma: must be a finite number, got nan"),
+    ('{"kind": "oracle-compare", "n_grid": [40], "p": 10,'
+     ' "eps_multiplier": NaN}', "eps_multiplier: must be a finite number"),
+    ('{"kind": "spectra", "n": 60, "eps_multipliers": [2.0, Infinity]}',
+     "eps_multipliers: must be a list of finite numbers"),
+], ids=["sigma", "eps_multiplier", "eps_multipliers"])
+def test_non_finite_config_value_is_refused(tmp_path, capsys, cmd, text,
+                                            message):
+    # Python's json reads a bare NaN or Infinity
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([cmd, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     for path in (tmp_path / "absent.json", tmp_path):   # a directory too
         assert main(["run", "--config", str(path)]) == 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -151,6 +152,20 @@ def test_validate_field_errors(tmp_path):
     # lambda^0 = 1 on every mode, the zero eigenvalue included
     assert validate_config(C(kind="regularity", n=80, s_grid=(0, 2),
                              draws=3)) == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ex._NUMBERS + ("eps_multipliers",
+                                                 "s_grid"))
+def test_non_finite_numbers_are_refused(field, value):
+    # every comparison with NaN is false, so the value checks alone let it
+    # through to scipy or to a graph radius, whose errors name no field
+    listed = field in ex._LISTS
+    cfg = ExperimentConfig(kind="posterior", n=60, p=10,
+                           **{field: (2.0, value) if listed else value})
+    errs = validate_config(cfg)
+    assert len(errs) == 1 and errs[0].startswith(field + ": must be a "), errs
+    assert "finite" in errs[0]
 
 
 # Per part of a config that only some kinds read: a value validate_config
@@ -623,7 +638,7 @@ def test_manifest_names_the_eigensolver(tmp_path, monkeypatch, kind):
     assert all(0.0 <= r < 1e-10 for r in residual.values())
     # a basis of at least half the cloud comes from the dense solver
     dense = kind in ("regularity", "spectra")
-    assert set(solver.values()) == {"dense" if dense else "shift-invert"}
+    assert set(solver.values()) == {"dense" if dense else "lanczos"}
     clouds = list(dict.fromkeys(built))
     assert [(s["n"], s["cloud_seed"]) for s in man["seeds"]] == clouds
     assert len({(s["n"], s["replicate"]) for s in man["seeds"]}) == \

@@ -157,7 +157,7 @@ def test_spectral_error_hand_case():
         spectral_error(graph_side, sphere_side, 4)
 
 
-# --- shift-invert Lanczos against the dense reference --------------------
+# --- Lanczos against the dense reference ---------------------------------
 
 # index ranges of the sphere's eigenvalue clusters l = 0..3 (multiplicity
 # 2l+1); single eigenvectors inside a cluster are only nearly unique, the
@@ -199,10 +199,12 @@ def assert_eigenvectors_close(got, ref):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n,k", [(200, 4), (400, 16), (800, 20)])
 def test_shift_invert_matches_dense(n, k, seed):
+    # named for the truncated solver Lanczos replaced; the name is kept so
+    # the nine test ids stay stable
     lap = sphere_laplacian(n, seed)
     basis = eigendecompose(lap, k)
     vals, vecs = dense_reference(lap, k)
-    assert basis.solver == "shift-invert"
+    assert basis.solver == "lanczos"
     assert basis.eigenvalues[0] == 0.0
     assert_eigenvalues_close(basis.eigenvalues, vals)
     assert_eigenvectors_close(basis.eigenvectors, vecs)
@@ -213,7 +215,7 @@ def test_shift_invert_matches_dense(n, k, seed):
             assert np.max(np.abs(got @ got.T - ref @ ref.T)) / n <= 1e-10
 
 
-def test_shift_invert_is_bit_reproducible():
+def test_lanczos_is_bit_reproducible():
     # ARPACK starts from a random vector unless given one; a fixed start
     # vector keeps repeated runs in one process bit-identical
     lap = sphere_laplacian(300, 5)
@@ -233,7 +235,7 @@ def test_two_components_give_two_exact_zeros():
     assert graph.n_components == 2
     lap = laplacian(graph, sphere_calibration(cloud.n))
     basis = eigendecompose(lap, 6)
-    assert basis.solver == "shift-invert"
+    assert basis.solver == "lanczos"
     assert np.count_nonzero(basis.eigenvalues == 0.0) == 2
     assert basis.eigenvalues[2] > 0.1
     vals, vecs = dense_reference(lap, 6)
@@ -242,16 +244,65 @@ def test_two_components_give_two_exact_zeros():
     assert np.max(np.abs(null @ null.T - ref @ ref.T)) / cloud.n <= 1e-10
 
 
+def dumbbell(patch=False):
+    """Two polar caps joined by one meridian band, so lambda_2 is about 0.02.
+
+    With patch, a separate equatorial patch adds a second component.
+    """
+    pts = sample_sphere(4000, seed=7).points
+    keep = (np.abs(pts[:, 2]) > 0.6) | ((np.abs(pts[:, 1]) < 0.03)
+                                        & (pts[:, 0] > 0))
+    if patch:
+        keep |= (np.abs(pts[:, 2]) < 0.1) & (pts[:, 0] < -0.9)
+    cloud = PointCloud(pts[keep], 2)
+    graph = build_eps_graph(cloud, default_eps(cloud.n, 2, 2.0))
+    return graph, laplacian(graph, sphere_calibration(cloud.n))
+
+
+def test_lanczos_resolves_a_dumbbell():
+    # a near-disconnected graph: lambda_2 sits 1e-3 of lambda_16 above 0
+    graph, lap = dumbbell()
+    assert (lap.shape[0], graph.n_components) == (1661, 1)
+    basis = eigendecompose(lap, 16)
+    vals, vecs = dense_reference(lap, 16)
+    assert basis.solver == "lanczos"
+    assert basis.eigenvalues[0] == 0.0
+    assert 0.02 < basis.eigenvalues[1] < 0.021
+    assert_eigenvalues_close(basis.eigenvalues, vals)
+    assert_eigenvectors_close(basis.eigenvectors, vecs)
+    assert basis.residual < 1e-10
+
+
+def test_lifted_null_space_beside_a_near_null_pair():
+    # two components, one of them the dumbbell: the lifted null modes give
+    # no extra zero, and the pair at 0.02 is not taken for a null mode;
+    # with the null space projected out instead, four zeros came back
+    graph, lap = dumbbell(patch=True)
+    assert graph.n_components == 2
+    # lambda_16 = lambda_17 here, so k = 12 stops inside a clear gap
+    basis = eigendecompose(lap, 12)
+    vals, vecs = dense_reference(lap, 12)
+    assert basis.solver == "lanczos"
+    assert np.count_nonzero(basis.eigenvalues == 0.0) == 2
+    assert 0.02 < basis.eigenvalues[2] < 0.021
+    assert_eigenvalues_close(basis.eigenvalues, vals)
+    assert_eigenvectors_close(basis.eigenvectors[:, 2:], vecs[:, 2:])
+    # the Lanczos pairs carry no component mean
+    _, labels = connected_components(graph.weights, directed=False)
+    means = [np.bincount(labels, v) for v in basis.eigenvectors[:, 2:].T]
+    assert np.max(np.abs(means)) / lap.shape[0] <= 1e-12
+
+
 def test_many_components_match_the_dense_spectrum():
-    # 263 components; on the whole space shift-invert found only 202 zero
-    # eigenvalues here, and its 269th eigenvalue was 731.7, not 115.39
+    # 263 components; without the lift of the null space, Lanczos found 267
+    # zero eigenvalues here, and its 269th eigenvalue was 50.30, not 115.39
     n = 600
     graph = build_eps_graph(sample_sphere(n, seed=100),
                             default_eps(n, 2, 0.5))
     assert graph.n_components == 263
     lap = laplacian(graph, sphere_calibration(n))
     basis = eigendecompose(lap, 269)
-    assert basis.solver == "shift-invert"
+    assert basis.solver == "lanczos"
     assert np.count_nonzero(basis.eigenvalues == 0.0) == 263
     assert_eigenvalues_close(basis.eigenvalues,
                              linalg.eigvalsh(lap.toarray())[:269])
@@ -270,7 +321,7 @@ def test_null_space_is_the_component_indicators(k):
     lap = laplacian(graph, sphere_calibration(n))
     _, labels = connected_components(graph.weights, directed=False)
     basis = eigendecompose(lap, k)
-    assert basis.solver == ("shift-invert" if k == 4 else "dense")
+    assert basis.solver == ("lanczos" if k == 4 else "dense")
     null = min(k, graph.n_components)
     assert np.array_equal(basis.eigenvalues[:null], np.zeros(null))
     firsts = [int(np.flatnonzero(labels == j)[0]) for j in range(null)]
@@ -288,8 +339,9 @@ def test_null_space_is_the_component_indicators(k):
 
 
 def test_calibration_scales_eigenvalues_only():
-    # the shift follows the matrix scale, so calibration 1 (eigenvalues
-    # near 1e-5) converges to the same pairs as the sphere calibration
+    # Lanczos has no shift or threshold on an absolute scale, so
+    # calibration 1 (eigenvalues near 1e-5) converges to the same pairs as
+    # the sphere calibration
     n = 500
     graph = build_eps_graph(sample_sphere(n, seed=8), default_eps(n, 2, 2.0))
     raw = eigendecompose(laplacian(graph), 16)
@@ -300,17 +352,17 @@ def test_calibration_scales_eigenvalues_only():
     assert_eigenvectors_close(raw.eigenvectors, scaled.eigenvectors)
 
 
-def test_shift_sits_below_a_fine_low_spectrum():
+def test_lanczos_resolves_a_fine_low_spectrum():
     # a path of unit-weight edges: the low eigenvalues 2 - 2cos(pi j/n),
-    # about 1e-5 j^2, sit far below 1e-3 of the mean degree, so a shift
-    # placed above zero instead of below would pick the wrong eigenvalues
+    # about 1e-5 j^2, lie about 1e-5 of the spectrum's width 4 apart, the
+    # slow end for Lanczos without a shift
     n = 1000
     cloud = PointCloud(np.c_[np.arange(n, dtype=float), np.zeros(n)], 1)
     graph = build_eps_graph(cloud, 1.5)
     lap = laplacian(graph, 1.0 / kernel_weight(n, 1, 1.5))
     basis = eigendecompose(lap, 4)
     expected = 2.0 - 2.0 * np.cos(np.pi * np.arange(4) / n)
-    assert basis.solver == "shift-invert"
+    assert basis.solver == "lanczos"
     assert basis.eigenvalues[0] == 0.0
     assert np.allclose(basis.eigenvalues, expected, rtol=1e-9, atol=0.0)
     vals, vecs = dense_reference(lap, 4)
@@ -324,7 +376,7 @@ def test_solver_cut_at_half_the_cloud(n):
     k = math.ceil(n / 2)
     sparse_side = eigendecompose(lap, k - 1)
     dense_side = eigendecompose(lap, k)
-    assert sparse_side.solver == "shift-invert"
+    assert sparse_side.solver == "lanczos"
     assert dense_side.solver == "dense"
     assert_eigenvalues_close(sparse_side.eigenvalues,
                              dense_side.eigenvalues[:k - 1])
@@ -373,17 +425,18 @@ def test_fix_signs_rule():
 
 
 def test_graph_without_edges():
-    # L = 0 has trace 0, so the shift cannot follow the matrix scale
+    # L = 0: every point is a component, so the null space fills the basis
+    # and Lanczos has nothing left to find
     cloud = sample_sphere(50, seed=1)
     basis = eigendecompose(laplacian(build_eps_graph(cloud, 1e-3)), 4)
-    assert basis.solver == "shift-invert"
+    assert basis.solver == "lanczos"
     assert np.array_equal(basis.eigenvalues, np.zeros(4))
     gram = basis.eigenvectors.T @ basis.eigenvectors / 50
     assert np.allclose(gram, np.eye(4), atol=1e-12)
 
 
 def test_residual_reports_solver_accuracy(basis120):
-    assert basis120.solver == "shift-invert"
+    assert basis120.solver == "lanczos"
     assert 0.0 <= basis120.residual < 1e-10
     full = eigendecompose(sphere_laplacian(60, 4), 60)
     assert full.solver == "dense"

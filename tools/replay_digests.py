@@ -16,6 +16,18 @@ so two checkouts run the same cases:
     python3 tools/replay_digests.py . /tmp/after > after.txt
     diff before.txt after.txt
 
+When outputs move on purpose, by rounding or by a new random stream,
+
+    python3 tools/replay_digests.py --compare /tmp/before /tmp/after
+
+prints one line per CSV column and per manifest metric that differs
+between the two trees: the case, the file, the column (a metric is named
+by its key path under ``metrics``), the largest relative difference
+|a - b| / max(|a|, |b|), and the row and values where it occurs.  A value
+that is not a number, a changed row count, a missing file or any change
+to a file that is neither CSV nor a manifest (the SVG plots) counts as
+``inf``.  Identical trees print nothing.
+
 Cases:
 
 - the four ``bench/workloads.py`` configs at seeds 50 and 51, full size;
@@ -29,11 +41,14 @@ Numpy, scipy and the standard library only.
 """
 
 import ast
+import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -111,7 +126,87 @@ def digests(out):
     return rows
 
 
+def _flat(value, path):
+    """(key path, leaf) of every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flat(value[key], path + "." + key if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _flat(item, "%s[%d]" % (path, i))
+    else:
+        yield path, value
+
+
+def _columns(path):
+    """Column -> cells of a CSV file, or metric key path -> [value]."""
+    if os.path.basename(path) == "manifest.json":
+        with open(path) as fh:
+            return {key: [value] for key, value
+                    in _flat(json.load(fh)["metrics"], "")}
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _relative(a, b):
+    """|a - b| / max(|a|, |b|); NaN equals NaN, anything not a number inf."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(before, after):
+    """(case, file, column, largest relative difference, where) per change."""
+    out = []
+    for case in sorted(set(os.listdir(before)) | set(os.listdir(after))):
+        dirs = [os.path.join(tree, case) for tree in (before, after)]
+        names = sorted(set().union(*(os.listdir(d) for d in dirs
+                                     if os.path.isdir(d))))
+        for name in names:
+            paths = [os.path.join(d, name) for d in dirs]
+            if not all(os.path.isfile(p) for p in paths):
+                side = "after" if os.path.isfile(paths[0]) else "before"
+                out.append((case, name, "-", math.inf, "missing " + side))
+                continue
+            if not name.endswith((".csv", ".json")):
+                if Path(paths[0]).read_bytes() != Path(paths[1]).read_bytes():
+                    out.append((case, name, "-", math.inf, "contents differ"))
+                continue
+            old, new = (_columns(p) for p in paths)
+            for col in list(new) + [c for c in old if c not in new]:
+                if col not in old or col not in new:
+                    side = "before" if col in new else "after"
+                    out.append((case, name, col, math.inf, "missing " + side))
+                    continue
+                a, b = old[col], new[col]
+                if len(a) != len(b):
+                    out.append((case, name, col, math.inf,
+                                "%d -> %d rows" % (len(a), len(b))))
+                    continue
+                rel = [_relative(x, y) for x, y in zip(a, b)]
+                if rel and max(rel) > 0.0:
+                    i = rel.index(max(rel))
+                    where = "%s -> %s" % (a[i], b[i])
+                    if name != "manifest.json":
+                        where = "row %d: %s" % (i + 1, where)
+                    out.append((case, name, col, rel[i], where))
+    return out
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        for row in compare(*argv[1:]):
+            print("%s %s %s %.3g %s" % row)
+        return
     if len(argv) != 2:
         sys.exit(__doc__)
     src, out = argv
