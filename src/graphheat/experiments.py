@@ -718,7 +718,7 @@ def run_experiment(cfg, out_dir=None, jobs=1):
     if errs:
         raise ValueError("invalid config:\n  " + "\n  ".join(errs))
     out = out_dir if out_dir is not None else cfg.out
-    start = time.time()
+    start = time.perf_counter()
     files, metrics, points = _KINDS[cfg.kind][0](cfg, jobs)
     metrics.update(_eigensolver_metrics(points))
     built = dict.fromkeys((n, r) for n, r, _, _ in points)
@@ -730,7 +730,7 @@ def run_experiment(cfg, out_dir=None, jobs=1):
         "seeds": [_seed_record(cfg, n, r) for n, r in built],
         "metrics": metrics,
         "versions": _versions(),
-        "wall_time_s": round(time.time() - start, 3),
+        "wall_time_s": round(time.perf_counter() - start, 3),
     }
     os.makedirs(out, exist_ok=True)
     written = []

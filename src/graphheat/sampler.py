@@ -8,7 +8,7 @@ misfit potential.  An initial-monotone-sequence autocorrelation estimator
 rounds out the module.
 
 One kernel advances C chains in lockstep, a block of steps at a time: it
-takes the block's draws chain by chain, scales the normals and logs the
+takes the block's draws stream by stream, scales the normals and logs the
 uniforms in bulk, then forms each step's C proposals with two ufuncs over
 (C, k) arrays.  ``pcn`` alone decides which chains step together: those
 whose potentials are ``GaussianMisfit`` of one shape under one config
@@ -36,17 +36,22 @@ Stream contract: each step draws k standard normals, then one uniform, from
 the chain's own ``np.random.default_rng(seed)``, so a config and seed fix the
 chain bit for bit, whether it runs alone or in lockstep with others, and
 whichever path evaluates its potential; a screened chain draws the same
-stream.  Drawing a block ahead keeps that order; a uniform is formed from
-the bit generator's raw 64-bit output as ``Generator.random`` forms it,
+stream.  Chains of one lockstep group with equal seeds share one stream,
+drawn once per block: the sweeps pair their cloud sizes by common random
+numbers, so the chains of one shape draw one stream per replicate.  Each
+chain still scales the stream's normals by its own prior scales.  Drawing
+a block ahead keeps the stream's order; a uniform is formed from the bit
+generator's raw 64-bit output as ``Generator.random`` forms it,
 (raw >> 11) * 2^-53.  The log of the uniform is taken with ``np.log`` on
 purpose: ``math.log`` differs from it in the last bit on some uniforms,
-which can flip an acceptance and change every later state.  ``np.log`` over a block of uniforms gives each the bits of
-``np.log`` on it alone.
+which can flip an acceptance and change every later state.  ``np.log``
+over a block of uniforms gives each the bits of ``np.log`` on it alone.
 """
 
 import dataclasses
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +91,10 @@ class SamplerConfig:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must be in [0, iterations)")
+        if (not isinstance(self.seed, numbers.Integral)
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ValueError("seed must be a non-negative integer, got %r"
+                             % (self.seed,))
 
 
 class ChainResult:
@@ -171,8 +180,17 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
         [spec.truncated_scales(b) for b, spec in zip(bases, prior_specs)])
     k = beta_scales.shape[1]
     contraction = np.sqrt(1.0 - config.beta**2)
-    rngs = [np.random.default_rng(c.seed) for c in configs]
     seeds = [c.seed for c in configs]
+    # One generator per distinct seed draws into the rows of the seed's
+    # first chain; each later chain on that seed (``shared``) copies the
+    # rows of its first (``lead``).
+    streams = {}
+    for c, seed in enumerate(seeds):
+        if seed not in streams:
+            streams[seed] = c, np.random.default_rng(seed)
+    first_of = np.array([streams[seed][0] for seed in seeds])
+    shared = np.flatnonzero(first_of != np.arange(chains))
+    lead = first_of[shared]
     state = np.zeros((chains, k))
     cand = np.empty((chains, k))
     potential, state_row, cand_row = potentials[0], state[0], cand[0]
@@ -213,8 +231,10 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
     order = range(chains)
     for first in range(0, config.iterations, steps):
         size = min(steps, config.iterations - first)
-        for c in order:
-            _draw(rngs[c], xi[:size, c], log_u[:size, c])
+        for c, rng in streams.values():
+            _draw(rng, xi[:size, c], log_u[:size, c])
+        xi[:size, shared] = xi[:size, lead]
+        log_u[:size, shared] = log_u[:size, lead]
         np.multiply(xi[:size], beta_scales, xi[:size])
         np.log(log_u[:size], log_u[:size])
         for j, xi_j, log_u_j, phi_j, ok_j in zip(range(first, first + size),
@@ -294,7 +314,8 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
     ChainBatch, which also totals their ledgers), each equal bit for bit to
     the same chain run alone.  Which chains step together is pcn's own
     business (see the module docstring); a chain run alone keeps its
-    design in cache through its whole run.
+    design in cache through its whole run.  Chains that step together on
+    equal seeds share one random stream, drawn once per block.
     """
     single = callable(potential)
     if single:

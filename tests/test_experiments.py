@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import graphheat.experiments as ex
+import graphheat.sampler
 import graphheat.spectral
 from graphheat import (
     ContinuumBasis,
@@ -514,6 +515,37 @@ def test_sweeps_keep_the_tracing_contract(tmp_path, monkeypatch, kind, extra):
     chains = len(cfg.n_grid) * cfg.replicates
     assert counts["proposed"] == chains * cfg.iterations
     assert counts["calls"] == counts["proposed"] + chains
+
+
+@pytest.mark.parametrize("kind, extra, streams", [
+    ("acceptance-sweep", dict(n_grid=(40, 60, 80)), 2),
+    ("supervised-sweep", dict(replicates=1), 1)],
+    ids=["acceptance", "supervised"])
+def test_sweeps_draw_one_stream_per_replicate(tmp_path, monkeypatch, kind,
+                                              extra, streams):
+    # Every cloud size of replicate r runs on chain seed 900 + seed + r, so
+    # the chains of one replicate share one generator.
+    generators, draw = [], graphheat.sampler._draw
+
+    def counted_draw(rng, xi, uniforms):
+        generators.append(rng)
+        draw(rng, xi, uniforms)
+
+    monkeypatch.setattr(graphheat.sampler, "_draw", counted_draw)
+    run_experiment(toy_cfg(kind, **extra), out_dir=str(tmp_path))
+    assert len({id(rng) for rng in generators}) == streams
+
+
+def test_wall_time_ignores_clock_jumps(tmp_path, monkeypatch):
+    # The manifest's wall time comes from a monotonic clock: a system clock
+    # that jumps a day at every reading does not move it.
+    import time
+
+    jumps = iter(range(0, 10**9, 86400))
+    monkeypatch.setattr(time, "time", lambda: float(next(jumps)))
+    man = json.load(open(run_experiment(toy_cfg("prior-sample"),
+                                        out_dir=str(tmp_path))))
+    assert 0.0 <= man["wall_time_s"] < 60.0
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -54,6 +54,17 @@ def test_config_validation():
         SamplerConfig(beta=0.5, iterations=10, burn_in=10)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, [7], None])
+def test_config_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        SamplerConfig(beta=0.5, iterations=10, seed=seed)
+
+
+def test_config_takes_numpy_integer_seeds():
+    for seed in (np.int64(7), np.uint8(3), 2**40 + 3):
+        assert SamplerConfig(beta=0.5, iterations=10, seed=seed).seed == seed
+
+
 def test_chain_deterministic():
     cfg = SamplerConfig(beta=0.4, iterations=500, burn_in=100, seed=21)
     a = pcn(FlatBasis(3), SPEC, ZERO_POTENTIAL, cfg)
@@ -405,6 +416,51 @@ def test_pcn_groups_any_chains_as_if_alone(monkeypatch):
         assert np.array_equal(states[c].samples, single.samples)
         assert traces[c].samples is None
         assert np.array_equal(traces[c].trace, single.samples @ readouts[c])
+
+
+def test_chains_that_share_a_seed_draw_its_stream_once(monkeypatch):
+    # Six Gaussian misfits of one shape on three seeds in scrambled order,
+    # as a sweep pairs its cloud sizes: one lockstep group.  Each block
+    # draws each seed's stream once, in the order the seeds first appear,
+    # and every chain is bit-identical to itself run alone, with or
+    # without a readout.
+    seeds = (5, 9, 5, 2, 9, 5)
+    cfg = SamplerConfig(beta=0.3, iterations=2600, burn_in=500)
+    potentials = [gaussian_design_problem(4, 12, 0.4, seed=110 + c)[2]
+                  for c in range(6)]
+    bases = [FlatBasis(4, n=12, eigenvalues=np.arange(4) + 0.5 * c)
+             for c in range(6)]
+    specs = [REFERENCE_SPEC] * 6
+    configs = [dataclasses.replace(cfg, seed=s) for s in seeds]
+    readouts = list(np.random.default_rng(111).standard_normal((6, 4)))
+    alone = [pcn(*args) for args in zip(bases, specs, potentials, configs)]
+    drawn = []
+
+    def counted_draw(rng, xi, uniforms):
+        drawn.append((rng.bit_generator.seed_seq.entropy, len(xi)))
+        _draw(rng, xi, uniforms)
+
+    monkeypatch.setattr("graphheat.sampler._draw", counted_draw)
+    for readout in (None, readouts):
+        drawn.clear()
+        batch = pcn(bases, specs, potentials, configs, readout=readout)
+        blocks = len(drawn) // 3
+        assert blocks > 1
+        assert [seed for seed, _ in drawn] == [5, 9, 2] * blocks
+        rows = [size for _, size in drawn]
+        assert rows[::3] == rows[1::3] == rows[2::3]
+        assert sum(rows[::3]) == cfg.iterations
+        for chain, single, vector in zip(batch, alone, readouts):
+            assert 0 < single.accepted < cfg.iterations
+            assert chain.accepted == single.accepted
+            assert chain.proposed == single.proposed
+            assert chain.stationary_accepted == single.stationary_accepted
+            assert chain.potential_calls == single.potential_calls
+            if readout is None:
+                assert np.array_equal(chain.samples, single.samples)
+            else:
+                assert chain.samples is None
+                assert np.array_equal(chain.trace, single.samples @ vector)
 
 
 def test_stationary_acceptance_counts_after_burn_in():
