@@ -3,7 +3,8 @@
 Seven experiment kinds cover the studies this package exists for: Laplacian
 spectra against the sphere, prior regularity versus smoothness, a full
 posterior run with its closed-form check, the two acceptance-rate sweeps,
-the graph-versus-continuum consistency trend, and plain prior draws.
+the graph-versus-continuum consistency trend (oracle-compare, through the
+nearest-node map, k = 1), and plain prior draws.
 
 Seed conventions, shared by every kind so runs are comparable: replicate r
 of a config with base seed ``seed`` uses cloud seed 100+seed+r, data-noise
@@ -99,11 +100,11 @@ DEFAULT_N_GRID = (300, 600, 900, 1200, 1500, 2000)
 
 # Field types that validate_config checks before any value.
 _INTS = ("n", "p", "iterations", "burn_in", "seed", "replicates", "l_max",
-         "draws", "grid_size", "knn_k")
+         "draws", "grid_size")
 _NUMBERS = ("eps_multiplier", "alpha", "s", "t", "sigma", "beta")
 _LISTS = ("n_grid", "eps_multipliers", "s_grid")
 # Retired fields and the one value an older manifest may echo for each.
-_RETIRED = {"m": 2, "thinning": 1, "calibration": "sphere"}
+_RETIRED = {"m": 2, "thinning": 1, "calibration": "sphere", "knn_k": 1}
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,6 @@ class ExperimentConfig:
     s_grid: tuple = (2, 3, 4, 5, 6, 7, 8)
     draws: int = 100
     grid_size: int = 10000
-    knn_k: int = 1
     out: str = "results"
 
     def to_json(self):
@@ -275,10 +275,6 @@ def validate_config(cfg):
         errs.append("seed: must be nonnegative")
     if cfg.grid_size < 1:
         errs.append("grid_size: must be positive")
-    if cfg.knn_k < 1:
-        errs.append("knn_k: must be at least 1")
-    elif "knn_k" in parts and any(cfg.knn_k > int(n) for n in sizes):
-        errs.append("knn_k: exceeds the smallest cloud size in the sweep")
     return errs
 
 
@@ -424,7 +420,7 @@ def _compare_point(cfg, n, replicate):
     model = NoiseModel(cfg.noise, cfg.sigma)
     orc = graph_posterior(y, basis, spec, cfg.t, model)
     grid = sphere_mc_grid(cfg.grid_size)
-    push = knn_interpolate(orc.mean, cl, cfg.knn_k, grid.points)
+    push = knn_interpolate(orc.mean, cl, 1, grid.points)
     # Continuum prior truncated at the same harmonic count as the graph
     # prior, so the two posteriors see matching model classes.
     co = continuum_posterior(
@@ -678,7 +674,7 @@ def _run_prior_sample(cfg, jobs):
 
 # kind -> (runner, catalog line, the parts validate_config checks: cloud
 # sizes from "n_grid", the prior's "s", "chain", "p", "labels", "gaussian"
-# noise only, "draws", "s_grid", "eps_multipliers", "knn_k", "pushforward")
+# noise only, "draws", "s_grid", "eps_multipliers", "pushforward")
 _KINDS = {
     "spectra": (_run_spectra, "graph Laplacian eigenvalues vs the sphere "
                 "spectrum, one CSV per bandwidth multiplier",
@@ -696,7 +692,7 @@ _KINDS = {
     "oracle-compare": (_run_compare, "graph posterior mean vs continuum "
                        "posterior mean on a Monte Carlo grid, over a "
                        "cloud-size grid",
-                       ("n_grid", "s", "p", "labels", "gaussian", "knn_k")),
+                       ("n_grid", "s", "p", "labels", "gaussian")),
     "prior-sample": (_run_prior_sample, "raw prior draws as nodal fields",
                      ("s", "draws")),
 }

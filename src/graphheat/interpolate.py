@@ -6,8 +6,8 @@ needs every retained chain sample interpolated first.
 
 The interpolant at x is the mean of the nodal values over the k nearest cloud
 points (ambient distance, ties by lower index).  k=1 is the map the theory
-uses; k=4 smooths for visualization.  Cross-resolution comparisons happen on
-a fixed seeded Monte Carlo sphere grid.
+and oracle-compare use; k=4 smooths for visualization.  Cross-resolution
+comparisons happen on a fixed seeded Monte Carlo sphere grid.
 
 The neighbours come from the cloud's one KD-tree (``cloud._nearest_indices``),
 not from a grid x n distance array.  The tree's candidates are re-ranked by

@@ -129,6 +129,7 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     if draws < 1:
         raise ValueError("draws must be at least 1, got %r" % (draws,))
     s, _, proj = _whitened_svd(mat, d_u, y, sigma)
+    proj = np.abs(proj)
     shrink = 1.0 / (1.0 + s * s)
     rho = np.sqrt(1.0 - beta**2)
     rng = np.random.default_rng(seed)
@@ -136,8 +137,10 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     # Phi(w) = |e|^2 / 2 up to a constant, with residual e = proj - s w;
     # w ~ N(s shrink proj, shrink) gives e ~ N(shrink proj, s^2 shrink), and
     # the proposal w' = rho w + beta xi has residual
-    # e' = rho e + (1 - rho) proj - beta s xi, formed in e's buffer.  Draws
-    # go in blocks so the buffers stay small next to a chain's samples.
+    # e' = rho e + (1 - rho) proj - beta s xi, formed in e's buffer.  Negating
+    # proj_i negates (e_i, e'_i) in law and keeps |e|^2 - |e'|^2, so |proj|
+    # frees the estimate from LAPACK's singular vector signs.  Draws go in
+    # blocks so the buffers stay small next to a chain's samples.
     for start in range(0, draws, _BLOCK):
         e = rng.standard_normal((min(_BLOCK, draws - start), s.shape[0]))
         e *= s * np.sqrt(shrink)

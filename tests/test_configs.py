@@ -2,9 +2,12 @@
 
 The files are run at full size with ``graphheat run --config``; here each
 is checked through the same front end, and a shrunk copy of it is run twice.
+The benchmark's workload configs (``bench/workloads.py``, read by path) must
+load and validate too, since the benchmark hands them to the same front end.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -21,6 +24,12 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
 # smallest cloud of the grid.
 SHRINK = dict(n=60, n_grid=(40, 60), p=10, iterations=200, burn_in=50,
               draws=3, grid_size=100, replicates=1)
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads",
+    Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 
 def test_configs_are_shipped():
@@ -57,3 +66,11 @@ def test_shrunk_config_reruns_identically(path, tmp_path, capsys):
     files, manifest = _outputs(tmp_path / "a")
     assert files and sorted(files) == manifest["outputs"]
     assert _outputs(tmp_path / "b") == (files, manifest)
+
+
+@pytest.mark.parametrize("toy", [False, True], ids=["full", "toy"])
+@pytest.mark.parametrize("name", WORKLOADS.NAMES)
+def test_bench_workload_config_validates(name, toy):
+    cfg = ExperimentConfig.from_json(
+        json.dumps(WORKLOADS.config(name, 50, toy)))
+    assert validate_config(cfg) == []

@@ -122,7 +122,6 @@ def test_validate_field_errors(tmp_path):
          "iterations"),
         (C(kind="supervised-sweep", n_grid=(40,), iterations=13, burn_in=10),
          "iterations"),
-        (C(kind="oracle-compare", n_grid=(5, 40), p=5, knn_k=6), "knn_k"),
         (C(kind="posterior", n=3, p=2), "n"),
         # both would write spectra_eps2.csv
         (C(kind="spectra", n=60, eps_multipliers=(2.0, 2.0000001)),
@@ -181,7 +180,6 @@ BAD_PART = {
     "draws": (dict(draws=0), "draws"),
     "s_grid": (dict(s_grid=(-1, 2)), "s_grid"),
     "eps_multipliers": (dict(eps_multipliers=()), "eps_multipliers"),
-    "knn_k": (dict(knn_k=41), "knn_k"),
     "pushforward": (dict(n=3, p=2), "n"),
 }
 
@@ -199,18 +197,20 @@ def test_each_kind_checks_exactly_the_parts_it_reads(kind):
 
 def test_manifest_with_the_old_m_field(tmp_path):
     # manifests once echoed m, the sphere's intrinsic dimension 2, the chain
-    # thinning 1 and the Laplacian calibration "sphere": each replays at
-    # that value, and any other is refused
+    # thinning 1, the Laplacian calibration "sphere" and the oracle-compare
+    # push-forward's neighbour count 1: each replays at that value, and any
+    # other is refused
     files, man = run_outputs(toy_cfg("posterior"), tmp_path / "a")
     old = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    old["config"].update(m=2, thinning=1, calibration="sphere")
+    old["config"].update(m=2, thinning=1, calibration="sphere", knn_k=1)
     cfg = ExperimentConfig.from_json(json.dumps(old))
     assert cfg == toy_cfg("posterior")
     assert run_outputs(cfg, tmp_path / "b") == (files, man)
     for field, value in [("m", 3), ("m", 1), ("m", 2.0), ("m", True),
                          ("m", "2"), ("thinning", 2), ("thinning", 1.0),
                          ("thinning", True), ("calibration", 3.0),
-                         ("calibration", 1)]:
+                         ("calibration", 1), ("knn_k", 2), ("knn_k", 1.0),
+                         ("knn_k", True)]:
         bad = dict(old, config=dict(old["config"], **{field: value}))
         with pytest.raises(ValueError, match="^%s: " % field):
             ExperimentConfig.from_json(json.dumps(bad))
@@ -288,8 +288,7 @@ REPLAY_CASES = {
     "posterior-probit": toy_cfg("posterior", noise="probit"),
     "acceptance-sweep-auto": toy_cfg("acceptance-sweep", k_n="auto"),
     "supervised-sweep": toy_cfg("supervised-sweep"),
-    "oracle-compare-auto-knn2": toy_cfg("oracle-compare", k_n="auto",
-                                        knn_k=2),
+    "oracle-compare-auto": toy_cfg("oracle-compare", k_n="auto"),
 }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from graphheat import experiments as ex
 from graphheat import (
     ContinuumBasis,
     NoiseModel,
@@ -347,6 +348,24 @@ def test_predicted_acceptance_matches_direct_draws(p):
     for draws in (0, -5):
         with pytest.raises(ValueError, match="draws"):
             predicted_acceptance(mat, d_u, y, sigma, 0.3, draws=draws)
+
+
+def test_predicted_acceptance_ignores_singular_vector_signs():
+    # Negating the labels or the design flips signs of U^T y; the estimate
+    # must not move with them.  The design is an acceptance sweep's n = 300
+    # point (cloud seed 100, k = 16, p = 40).
+    cfg = ex.ExperimentConfig(kind="acceptance-sweep", n_grid=(300,), p=40,
+                              k_n=16, beta=0.01)
+    _, basis, spec, y, mat, _, sc = ex._chain_problem(cfg, 300, 40, 0)
+    d_u = spec.truncated_scales(basis) ** 2
+
+    def estimate(m, labels):
+        return predicted_acceptance(m, d_u, labels, cfg.sigma, cfg.beta,
+                                    seed=sc.seed)
+
+    base = estimate(mat, y)
+    assert estimate(mat, -y) == base
+    assert estimate(-mat, y) == pytest.approx(base, rel=1e-12, abs=0)
 
 
 def probit_problem(p, k, sigma, seed, noise=0.3):
