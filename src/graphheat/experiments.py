@@ -8,11 +8,11 @@ nearest-node map, k = 1), and plain prior draws.
 
 Seed conventions, shared by every kind so runs are comparable: replicate r
 of a config with base seed ``seed`` uses cloud seed 100+seed+r, data-noise
-seed 500+seed+r and chain seed 900+seed+r (``_seed_record``).  Prior draw j
-uses seed 700+seed+j; regularity redraws start at 700+seed+draws+1.  Clouds
-sampled at different n with the same seed are nested (the smaller is a
-prefix of the larger), so sweep points at a fixed replicate share geometry
-and data.
+seed 500+seed+r and chain seed 900+seed+r (``_seed_record``).  Prior draw
+j, in prior-sample and regularity alike, is the nodal white noise of seed
+700+seed+j.  Clouds sampled at different n with the same seed are nested
+(the smaller is a prefix of the larger), so sweep points at a fixed
+replicate share geometry and data.
 
 All result files are byte-deterministic for a given config at a fixed BLAS
 thread count; across thread counts the regularity study's values agree to

@@ -35,8 +35,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, PROBIT):
             raise ValueError("kind must be %r or %r" % (GAUSSIAN, PROBIT))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:  # a NaN fails too
+            raise ValueError("sigma must be positive and finite, got %r"
+                             % self.sigma)
 
 
 def _labels(y, model):

@@ -1,14 +1,16 @@
 """Truncated Gaussian priors in the Laplacian eigenbasis and regularity diagnostics.
 
 A prior draw is u = sum_{i<k_n} (alpha + lambda_i)^(-s/4) xi_i psi_i with
-i.i.d. standard normal xi.  The regularity diagnostic is the oscillation
-statistic over closed eps-balls of draws normalized to unit H^s seminorm.
-It runs over the cloud's cached CSR ball lists (``PointCloud.eps_balls``),
-built once per (cloud, eps), so each call costs O(number of ball entries)
-rather than O(n^2).  The regularity study takes xi from nodal white noise
-z, xi = Psi^T z / sqrt(n), and shares one z across every s: each draw is
-then a function of the Laplacian applied to z, the same whichever
-orthonormal eigenvectors the solver picked inside a repeated eigenvalue.
+i.i.d. standard normal xi.  Every draw takes xi from nodal white noise z,
+xi = Psi^T z / sqrt(n) (``_white_noise_coefficients``), so u is a function
+of the Laplacian applied to z: the same bits whichever sign the solver gave
+each psi_i, and over the full basis the same draw whichever orthonormal
+eigenvectors it picked inside a repeated eigenvalue.  The regularity
+diagnostic is the oscillation statistic over closed eps-balls of draws
+normalized to unit H^s seminorm.  It runs over the cloud's cached CSR ball
+lists (``PointCloud.eps_balls``), built once per (cloud, eps), so each call
+costs O(number of ball entries) rather than O(n^2).  The regularity study
+shares one z across every s.
 """
 
 import math
@@ -18,9 +20,6 @@ import numpy as np
 
 UNTRUNCATED = None  # sentinel for k_n = n
 
-# Consecutive redraws of one regularity draw (seminorm below 1e-14) before
-# the study gives up on that s.
-MAX_REDRAWS = 100
 # Draws per chunk of the regularity study.  The oscillation gather is one
 # row at a time, so the chunk bounds only the (len(s_grid) * chunk, n)
 # array of synthesized values.
@@ -43,12 +42,13 @@ class PriorSpec:
     m: int = 2
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.s <= self.m:
+        # comparisons that a NaN fails
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite, got %r" % self.alpha)
+        if not self.m < self.s < math.inf:
             raise ValueError(
-                "smoothness s must exceed intrinsic dimension m (s=%g, m=%d)"
-                % (self.s, self.m)
+                "smoothness s must be finite and exceed intrinsic dimension m "
+                "(s=%g, m=%d)" % (self.s, self.m)
             )
         if self.k_n is not UNTRUNCATED and self.k_n < 1:
             raise ValueError("k_n must be >= 1")
@@ -91,11 +91,24 @@ def default_truncation(n, eps, m):
     return min(k, n)
 
 
+def _white_noise_coefficients(psi, seeds):
+    # Psi^T z / sqrt(n) for the nodal white noise z of each seed, one row
+    # each: i.i.d. standard normal, since Psi / sqrt(n) has orthonormal
+    # columns, and negated exactly with any column of Psi
+    n = psi.shape[0]
+    z = np.array([np.random.default_rng(a).standard_normal(n) for a in seeds])
+    return z @ psi / math.sqrt(n)
+
+
 def sample_graph_prior(basis, spec, seed):
-    """One prior draw in a graph eigenbasis, as nodal values."""
+    """One prior draw in a graph eigenbasis, as nodal values.
+
+    The coefficients are the first k_n of the nodal white noise of ``seed``
+    (``_white_noise_coefficients``), scaled by ``spec.truncated_scales``.
+    """
     scales = spec.truncated_scales(basis)
-    rng = np.random.default_rng(seed)
-    return basis.synthesize(scales * rng.standard_normal(scales.shape[0]))
+    psi = basis.eigenvectors[:, :scales.shape[0]]
+    return basis.synthesize(scales * _white_noise_coefficients(psi, [seed])[0])
 
 
 def _seminorm(eigenvalues, coeffs, s):
@@ -141,20 +154,16 @@ def oscillation(u, cloud, eps):
 def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     """Max oscillation of seminorm-normalized prior draws, per smoothness s.
 
-    Draw j reads ``default_rng(seed + j).standard_normal(n)`` as nodal white
-    noise z and takes the coefficients Psi^T z / sqrt(n) over the full
-    supplied basis, i.i.d. standard normal because Psi / sqrt(n) has
-    orthonormal columns.  One draw serves every s in s_grid: scaled by
-    (alpha + lambda_i)^(-s/4), it is f_s(L) z for a function f_s of the
-    Laplacian, so a rotation of the eigenvectors inside a repeated
-    eigenvalue (the solver's free choice) cancels, in the draw and in the
-    H^s seminorm it is rescaled to 1 by.  The result per s is the maximum
-    of the osc statistic over all draws and points.  A draw whose seminorm
-    at some s is below 1e-14 is redrawn for that s from fresh offsets
-    seed + draws + 1, + 2, ..., counted per s.  ValueError names s when no
-    draw can reach that threshold: at once when lambda_i^s * scale_i^2 is 0
-    for every mode (an eps-graph without edges), otherwise after
-    MAX_REDRAWS consecutive redraws of one draw.
+    Draw j takes the nodal white noise of seed + j over the full supplied
+    basis (``_white_noise_coefficients``).  One draw serves every s >= 0 in
+    s_grid: scaled by (alpha + lambda_i)^(-s/4), it is f_s(L) z for a
+    function f_s of the Laplacian, so a rotation of the eigenvectors inside
+    a repeated eigenvalue (the solver's free choice) cancels, in the draw
+    and in the H^s seminorm it is divided by.  The result per s is the
+    maximum of the osc statistic over all draws and points.  ValueError
+    names s when s is negative, or when lambda_i^s * scale_i^2 is 0 for
+    every mode (an eps-graph without edges), so that no draw has a
+    positive seminorm.
 
     Draws go in chunks of DRAW_CHUNK: one product with Psi^T gives their
     coefficients, and one product with Psi synthesizes them at every s for
@@ -166,6 +175,10 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
         raise ValueError("alpha must be positive here; the constant mode is kept")
     lam = basis.eigenvalues
     s_values = [float(s) for s in s_grid]
+    for s in s_values:
+        if not s >= 0:
+            raise ValueError("s=%g: the smoothness must be >= 0, since "
+                             "lambda^s is infinite at the zero eigenvalue" % s)
     # Scales computed directly: the study spans s at and below the
     # intrinsic dimension on purpose, which PriorSpec would reject.
     scales = [(alpha + lam) ** (-s / 4.0) for s in s_values]
@@ -178,39 +191,14 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
                 "eps_multiplier or calibration)" % s
             )
     psi = basis.eigenvectors
-    n = basis.n
-
-    def white_noise_coefficients(first, stop):
-        z = np.array([np.random.default_rng(a).standard_normal(n)
-                      for a in range(first, stop)])
-        return z @ psi / math.sqrt(n)
-
     worst = np.zeros(len(s_values))
-    extra = [0] * len(s_values)
     for lo in range(0, draws, DRAW_CHUNK):
-        xi = white_noise_coefficients(seed + lo,
-                                      seed + min(lo + DRAW_CHUNK, draws))
+        xi = _white_noise_coefficients(
+            psi, range(seed + lo, seed + min(lo + DRAW_CHUNK, draws)))
         unit = []
-        for a, (s, scale) in enumerate(zip(s_values, scales)):
+        for s, scale in zip(s_values, scales):
             coeffs = scale * xi
-            sem = _seminorm(lam, coeffs, s)
-            for i in np.flatnonzero(sem < 1e-14):
-                for _ in range(MAX_REDRAWS):
-                    extra[a] += 1
-                    attempt = seed + draws + extra[a]
-                    coeffs[i] = scale * white_noise_coefficients(
-                        attempt, attempt + 1)[0]
-                    sem[i] = _seminorm(lam, coeffs[i], s)
-                    if sem[i] >= 1e-14:
-                        break
-                else:
-                    raise ValueError(
-                        "s=%g: %d consecutive prior draws had H^s seminorm "
-                        "below 1e-14; the graph spectrum is too small for "
-                        "this s (raise eps_multiplier or calibration)"
-                        % (s, MAX_REDRAWS + 1)
-                    )
-            unit.append(coeffs / np.sqrt(sem)[:, None])
+            unit.append(coeffs / np.sqrt(_seminorm(lam, coeffs, s))[:, None])
         _, maxima = oscillation(np.concatenate(unit) @ psi.T, cloud, eps)
         worst = np.maximum(worst, maxima.reshape(len(s_values), -1).max(axis=1))
     return [(s, float(w)) for s, w in zip(s_values, worst)]

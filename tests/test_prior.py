@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphheat import (
+    NoiseModel,
     PointCloud,
     PriorSpec,
     SpectralBasis,
@@ -29,6 +30,25 @@ def test_spec_rejects_rough_prior():
         PriorSpec(alpha=1.0, s=2.0, k_n=4, m=2)
     with pytest.raises(ValueError):
         PriorSpec(alpha=-0.5, s=5.0, k_n=4)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: PriorSpec(alpha=math.nan, s=5.0), "alpha",
+                 id="alpha-nan"),
+    pytest.param(lambda: PriorSpec(alpha=math.inf, s=5.0), "alpha",
+                 id="alpha-inf"),
+    pytest.param(lambda: PriorSpec(alpha=1.0, s=math.nan), "s=nan",
+                 id="s-nan"),
+    pytest.param(lambda: PriorSpec(alpha=1.0, s=math.inf), "s=inf",
+                 id="s-inf"),
+    pytest.param(lambda: NoiseModel("gaussian", math.nan), "sigma",
+                 id="sigma-nan"),
+    pytest.param(lambda: NoiseModel("probit", math.inf), "sigma",
+                 id="sigma-inf"),
+])
+def test_non_finite_parameters_are_refused(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_truncation_rules():
@@ -69,10 +89,41 @@ def test_sample_graph_prior_deterministic(basis120):
     b = sample_graph_prior(basis120, spec, seed=42)
     assert np.array_equal(a, b)
     assert a.shape == (120,)
-    # the six retained modes' scales times the seed's standard normals
-    coeffs = spec.truncated_scales(basis120) * \
-        np.random.default_rng(42).standard_normal(6)
+    # the six retained modes' scales times Psi_6^T z / sqrt(n), z the
+    # seed's nodal white noise
+    z = np.random.default_rng(42).standard_normal((1, 120))
+    xi = (z @ basis120.eigenvectors[:, :6] / math.sqrt(120))[0]
+    coeffs = spec.truncated_scales(basis120) * xi
     assert np.array_equal(a, basis120.synthesize(coeffs))
+
+
+def test_sample_graph_prior_ignores_eigenvector_signs(basis120):
+    # the same eigenpairs with 8 of the 20 columns negated
+    flip = np.ones(basis120.count)
+    flip[[1, 2, 4, 7, 10, 13, 16, 19]] = -1.0
+    negated = SpectralBasis(basis120.eigenvalues,
+                            basis120.eigenvectors * flip, "dense", 0.0)
+    for k_n in (6, UNTRUNCATED):
+        spec = PriorSpec(alpha=1.0, s=5.0, k_n=k_n)
+        for seed in range(5):
+            assert np.array_equal(sample_graph_prior(negated, spec, seed),
+                                  sample_graph_prior(basis120, spec, seed))
+
+
+def test_prior_moments_match_closed_form(basis120):
+    # u(x) ~ N(0, var(x)) with var(x) = sum_i scale_i^2 psi_i(x)^2, so over
+    # N draws the mean of u^2 has standard error var(x) sqrt(2 / N) and the
+    # mean of u has var(x)^(1/2) / sqrt(N).  Four standard errors at each of
+    # the 120 nodes.
+    spec = PriorSpec(alpha=1.0, s=5.0, k_n=10)
+    scales = spec.truncated_scales(basis120)
+    var = basis120.eigenvectors[:, :10] ** 2 @ scales**2
+    N = 4000
+    u = np.array([sample_graph_prior(basis120, spec, seed)
+                  for seed in range(N)])
+    assert np.all(np.abs((u**2).mean(axis=0) - var)
+                  <= 4 * var * math.sqrt(2 / N))
+    assert np.all(np.abs(u.mean(axis=0)) <= 4 * np.sqrt(var / N))
 
 
 def test_hs_seminorm_single_mode(basis120):
@@ -204,10 +255,19 @@ def test_regularity_experiment_validation(basis120, sphere120):
     basis, cl, eps = _regularity_inputs(6, 0.01, sphere_calibration(6))
     with pytest.raises(ValueError, match="s=2.*eps_multiplier"):
         regularity_experiment(basis, cl, eps, (2, 3), draws=2, seed=700)
-    # connected, but every s=8 draw has seminorm near 3e-16
+    # connected, but every s=8 draw has seminorm near 3e-16: each is still
+    # divided by its own seminorm
     basis, cl, eps = _regularity_inputs(300, 2.0, 1.0)
-    with pytest.raises(ValueError, match="s=8.*calibration"):
-        regularity_experiment(basis, cl, eps, (2, 8), draws=5, seed=700)
+    rows = regularity_experiment(basis, cl, eps, (2, 8), draws=5, seed=700)
+    assert [s for s, _ in rows] == [2.0, 8.0]
+    assert all(math.isfinite(mx) and mx > 0 for _, mx in rows)
+
+
+def test_regularity_experiment_refuses_negative_s(graph120, sphere120):
+    # lambda^s is infinite at the zero eigenvalue when s < 0
+    basis = eigendecompose(laplacian(graph120, sphere_calibration(120)), 120)
+    with pytest.raises(ValueError, match="s=-1"):
+        regularity_experiment(basis, sphere120, 0.4, (-1, 2), draws=3, seed=0)
 
 
 def _white_noise_basis(eigenvalues, seed):
@@ -220,25 +280,17 @@ def _white_noise_basis(eigenvalues, seed):
 def _reference_regularity(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     # the study one draw at a time: nodal noise, one gemv, a 1-D oscillation
     n, lam, psi = basis.n, basis.eigenvalues, basis.eigenvectors
-    rows, redraws = [], 0
+    rows = []
     for s in s_grid:
         scale = (alpha + lam) ** (-s / 4.0)
-        worst, extra = 0.0, 0
+        worst = 0.0
         for j in range(draws):
-            attempt = seed + j
-            while True:
-                z = np.random.default_rng(attempt).standard_normal(n)
-                coeffs = scale * (psi.T @ z) / np.sqrt(n)
-                sem = np.sum(lam**s * coeffs**2)
-                if sem >= 1e-14:
-                    break
-                extra += 1
-                attempt = seed + draws + extra
-            u = psi @ (coeffs / np.sqrt(sem))
+            z = np.random.default_rng(seed + j).standard_normal(n)
+            coeffs = scale * (psi.T @ z) / np.sqrt(n)
+            u = psi @ (coeffs / np.sqrt(np.sum(lam**s * coeffs**2)))
             worst = max(worst, oscillation(u, cloud, eps)[1])
         rows.append((float(s), worst))
-        redraws += extra
-    return rows, redraws
+    return rows
 
 
 def _assert_rows_close(got, ref):
@@ -252,24 +304,26 @@ def test_regularity_experiment_matches_per_draw_loop(graph120, sphere120):
     basis = eigendecompose(laplacian(graph120, sphere_calibration(120)), 120)
     got = regularity_experiment(basis, sphere120, 0.4, (2, 4, 6), draws=40,
                                 seed=3)
-    ref, redraws = _reference_regularity(basis, sphere120, 0.4, (2, 4, 6),
-                                         40, 3)
-    assert redraws == 0
+    ref = _reference_regularity(basis, sphere120, 0.4, (2, 4, 6), 40, 3)
     _assert_rows_close(got, ref)
 
 
-def test_regularity_redraws_match_per_draw_loop():
+def test_regularity_tiny_seminorms_match_per_draw_loop():
     # Two modes carry all of the s=2 seminorm, mu^2 / (1 + mu) times a
-    # chi-square with 2 degrees of freedom, which falls below 1e-14 for
-    # about half the draws; s=0 weighs every mode by 1 and never redraws.
+    # chi-square with 2 degrees of freedom, which falls below 1e-14 for 15
+    # of these 20 draws; each draw is divided by its own seminorm all the
+    # same.  s=0 weighs every mode by 1.
     n = 64
     mu = 8.45e-8
     basis = _white_noise_basis(np.r_[np.zeros(n - 2), mu, mu], seed=5)
     cloud = sample_sphere(n, seed=6)
+    z = np.array([np.random.default_rng(9 + j).standard_normal(n)
+                  for j in range(20)])
+    coeffs = (1 + basis.eigenvalues) ** -0.5 * (z @ basis.eigenvectors) / 8
+    assert np.sum(_seminorm(basis.eigenvalues, coeffs, 2.0) < 1e-14) >= 5
     got = regularity_experiment(basis, cloud, 0.5, (0, 2), draws=20, seed=9)
-    ref, redraws = _reference_regularity(basis, cloud, 0.5, (0, 2), 20, 9)
-    assert 5 <= redraws
-    _assert_rows_close(got, ref)
+    _assert_rows_close(got, _reference_regularity(basis, cloud, 0.5, (0, 2),
+                                                  20, 9))
 
 
 def test_regularity_experiment_is_gauge_free():
