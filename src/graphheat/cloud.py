@@ -113,15 +113,6 @@ class PointCloud:
         indices.setflags(write=False)
         return indptr, indices
 
-    def __eq__(self, other):
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return (
-            self.intrinsic_dim == other.intrinsic_dim
-            and self.points.shape == other.points.shape
-            and np.array_equal(self.points, other.points)
-        )
-
     def __repr__(self):
         return "PointCloud(n=%d, d=%d, m=%d)" % (self.n, self.d, self.intrinsic_dim)
 

@@ -275,6 +275,8 @@ def validate_config(cfg):
         errs.append("seed: must be nonnegative")
     if cfg.grid_size < 1:
         errs.append("grid_size: must be positive")
+    if not cfg.out:
+        errs.append("out: must name a directory, got an empty string")
     return errs
 
 
@@ -714,6 +716,8 @@ def run_experiment(cfg, out_dir=None, jobs=1):
     if errs:
         raise ValueError("invalid config:\n  " + "\n  ".join(errs))
     out = out_dir if out_dir is not None else cfg.out
+    if not out:
+        raise ValueError("out: the output directory must not be empty")
     start = time.perf_counter()
     files, metrics, points = _KINDS[cfg.kind][0](cfg, jobs)
     metrics.update(_eigensolver_metrics(points))

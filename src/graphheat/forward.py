@@ -19,7 +19,7 @@ def heat(coeffs, basis, t):
     vector or a matrix with one row per vector, of length at most
     basis.count.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
     coeffs = np.asarray(coeffs, dtype=float)
     return coeffs * np.exp(-basis.eigenvalues[:coeffs.shape[-1]] * t)

@@ -35,7 +35,7 @@ def default_eps(n, m, multiplier=1.0):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if multiplier <= 0:
+    if not multiplier > 0:
         raise ValueError("multiplier must be positive")
     return multiplier * float(n) ** (-1.0 / (m + 2))
 
@@ -78,10 +78,9 @@ def build_eps_graph(cloud, eps):
 
     Self-pairs are excluded from storage: K(0) = 1 would create self-loops,
     but they cancel in D - W, and dropping them keeps the Dirichlet-form
-    identity exact.  Disconnected graphs are permitted with a warning.
+    identity exact.  Disconnected graphs are permitted with a warning; an
+    eps that is not positive is refused by ``cloud.eps_balls``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     n = cloud.n
     indptr, indices = cloud.eps_balls(eps)
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -103,7 +102,7 @@ def build_eps_graph(cloud, eps):
 
 def laplacian(graph, calibration=1.0):
     """calibration * (D - W) as CSR: symmetric, positive semi-definite."""
-    if calibration <= 0:
+    if not calibration > 0:
         raise ValueError("calibration must be positive")
     degrees = np.asarray(graph.weights.sum(axis=1)).ravel()
     return (calibration * (sparse.diags(degrees) - graph.weights)).tocsr()

@@ -104,12 +104,6 @@ def coefficient_posterior(mat, d_u, y, sigma):
     return mean, factor @ factor.T
 
 
-def _at(features, mean, cov):
-    # mean and rowwise variance of the coefficient posterior at query rows
-    variance = np.sum((features @ cov) * features, axis=1)
-    return PosteriorSummary(features @ mean, np.maximum(variance, 0.0))
-
-
 # Monte Carlo draws per block in predicted_acceptance.
 _BLOCK = 1000
 
@@ -156,19 +150,25 @@ def predicted_acceptance(mat, d_u, y, sigma, beta, draws=10**4, seed=0):
     return total / draws
 
 
+def _posterior_at(rows, d_u, y, model, query):
+    # posterior of a ~ N(0, d_u) given y = rows a + noise, at the query rows
+    if model.kind != GAUSSIAN:
+        raise ValueError("closed-form posterior requires gaussian noise")
+    mean, cov = coefficient_posterior(rows, d_u, y, model.sigma)
+    variance = np.sum((query @ cov) * query, axis=1)
+    return PosteriorSummary(query @ mean, np.maximum(variance, 0.0))
+
+
 def graph_posterior(y, basis, spec, t, model):
     """Closed-form posterior mean/variance at every node of the graph.
 
     y holds the labels at the first len(y) nodes.  The observation rows are
     the design matrix the chains use, cut to the prior's k retained modes.
     """
-    if model.kind != GAUSSIAN:
-        raise ValueError("closed-form posterior requires gaussian noise")
     d_u = spec.truncated_scales(basis) ** 2
     k = d_u.shape[0]
-    rows = design_matrix(basis, t, len(y))[:, :k]
-    mean, cov = coefficient_posterior(rows, d_u, y, model.sigma)
-    return _at(basis.eigenvectors[:, :k], mean, cov)
+    return _posterior_at(design_matrix(basis, t, len(y))[:, :k], d_u, y,
+                         model, basis.eigenvectors[:, :k])
 
 
 def continuum_posterior(y, cont, spec, t, model, query_points, cloud):
@@ -177,12 +177,10 @@ def continuum_posterior(y, cont, spec, t, model, query_points, cloud):
     y holds the labels at the first len(y) cloud points.  The prior is
     truncated at the basis l_max.
     """
-    if model.kind != GAUSSIAN:
-        raise ValueError("closed-form posterior requires gaussian noise")
     d_u = spec.coefficient_scales(cont.eigenvalues) ** 2
     rows = heat(cont.evaluate(cloud.points[:len(y)]), cont, t)
-    mean, cov = coefficient_posterior(rows, d_u, y, model.sigma)
-    return _at(cont.evaluate(np.atleast_2d(query_points)), mean, cov)
+    return _posterior_at(rows, d_u, y, model,
+                         cont.evaluate(np.atleast_2d(query_points)))
 
 
 def _probit_expansion(mat, y, sigma, a):

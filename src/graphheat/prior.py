@@ -14,6 +14,7 @@ shares one z across every s.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,29 @@ UNTRUNCATED = None  # sentinel for k_n = n
 DRAW_CHUNK = 16
 
 
+def _mode_scales(alpha, s, eigenvalues):
+    """The prior's standard deviations (alpha + lambda_i)^(-s/4), per mode.
+
+    alpha must be finite, >= 0, and > 0 on a spectrum that starts at 0 (the
+    constant mode); a NaN fails each check.  () checks alpha alone.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be >= 0 and finite, got %r" % (alpha,))
+    if not (alpha > 0 or lam.size == 0 or lam[0] >= 1e-14):
+        raise ValueError("alpha=0 with a zero eigenvalue makes the "
+                         "constant mode singular; alpha must be positive")
+    return (alpha + lam) ** (-s / 4.0)
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Parameters (alpha, s, k_n) of the spectral prior.
 
-    alpha >= 0 shifts the spectrum; s is the smoothness exponent and must
-    exceed the intrinsic dimension m; k_n is the truncation level, or
-    UNTRUNCATED (None) for the full basis.  alpha = 0 is refused on a
-    spectrum with a zero eigenvalue, whose constant mode it makes singular.
+    alpha >= 0 shifts the spectrum (``_mode_scales`` holds its rule); s is
+    the smoothness exponent and must exceed the intrinsic dimension m; k_n
+    is the truncation level, a positive integer, or UNTRUNCATED (None) for
+    the full basis.
     """
 
     alpha: float
@@ -42,16 +58,18 @@ class PriorSpec:
     m: int = 2
 
     def __post_init__(self):
-        # comparisons that a NaN fails
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be >= 0 and finite, got %r" % self.alpha)
+        _mode_scales(self.alpha, self.s, ())     # the alpha rule, no spectrum
+        # a comparison that a NaN fails
         if not self.m < self.s < math.inf:
             raise ValueError(
                 "smoothness s must be finite and exceed intrinsic dimension m "
                 "(s=%g, m=%d)" % (self.s, self.m)
             )
-        if self.k_n is not UNTRUNCATED and self.k_n < 1:
-            raise ValueError("k_n must be >= 1")
+        if self.k_n is not UNTRUNCATED and (
+                not isinstance(self.k_n, numbers.Integral)
+                or isinstance(self.k_n, bool) or self.k_n < 1):
+            raise ValueError("k_n must be a positive integer or None "
+                             "(UNTRUNCATED), got %r" % (self.k_n,))
 
     def truncation(self, available):
         """Resolve k_n against the number of available eigenpairs."""
@@ -65,11 +83,7 @@ class PriorSpec:
 
     def coefficient_scales(self, eigenvalues):
         """Standard deviations (alpha + lambda_i)^(-s/4) per retained mode."""
-        lam = np.asarray(eigenvalues, dtype=float)
-        if self.alpha == 0 and lam[0] < 1e-14:
-            raise ValueError("alpha=0 with a zero eigenvalue makes the "
-                             "constant mode singular; alpha must be positive")
-        return (self.alpha + lam) ** (-self.s / 4.0)
+        return _mode_scales(self.alpha, self.s, eigenvalues)
 
     def truncated_scales(self, basis):
         """coefficient_scales of the first truncation(basis.count) modes."""
@@ -85,7 +99,7 @@ def default_truncation(n, eps, m):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     k = max(2, math.floor(eps ** (-m) / math.log(n)))
     return min(k, n)
@@ -117,15 +131,6 @@ def _seminorm(eigenvalues, coeffs, s):
     return np.sum(lam**s * coeffs**2, axis=-1)
 
 
-def _nodal_values(u, cloud):
-    values = np.asarray(u, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != cloud.n:
-        raise ValueError(
-            "expected %d nodal values, got shape %s" % (cloud.n, values.shape)
-        )
-    return values
-
-
 def oscillation(u, cloud, eps):
     """Per-point oscillation over closed eps-balls and its maximum.
 
@@ -136,7 +141,10 @@ def oscillation(u, cloud, eps):
     not depend on how the balls are stored.  An (m, n) batch of functions,
     one per row, gives an (m, n) array and the m row maxima.
     """
-    values = _nodal_values(u, cloud)
+    values = np.asarray(u, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != cloud.n:
+        raise ValueError("expected %d nodal values, got shape %s"
+                         % (cloud.n, values.shape))
     indptr, indices = cloud.eps_balls(eps)
     # every ball contains its own point, so no segment is empty
     starts = indptr[:-1]
@@ -161,9 +169,9 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     a repeated eigenvalue (the solver's free choice) cancels, in the draw
     and in the H^s seminorm it is divided by.  The result per s is the
     maximum of the osc statistic over all draws and points.  ValueError
-    names s when s is negative, or when lambda_i^s * scale_i^2 is 0 for
-    every mode (an eps-graph without edges), so that no draw has a
-    positive seminorm.
+    names alpha when it breaks PriorSpec's rule (``_mode_scales``), and s
+    when s is negative, or when lambda_i^s * scale_i^2 is 0 for every mode
+    (an eps-graph without edges), so that no draw has a positive seminorm.
 
     Draws go in chunks of DRAW_CHUNK: one product with Psi^T gives their
     coefficients, and one product with Psi synthesizes them at every s for
@@ -171,19 +179,17 @@ def regularity_experiment(basis, cloud, eps, s_grid, draws, seed, alpha=1.0):
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive here; the constant mode is kept")
     lam = basis.eigenvalues
     s_values = [float(s) for s in s_grid]
+    scales = []
     for s in s_values:
         if not s >= 0:
             raise ValueError("s=%g: the smoothness must be >= 0, since "
                              "lambda^s is infinite at the zero eigenvalue" % s)
-    # Scales computed directly: the study spans s at and below the
-    # intrinsic dimension on purpose, which PriorSpec would reject.
-    scales = [(alpha + lam) ** (-s / 4.0) for s in s_values]
-    for s, scale in zip(s_values, scales):
-        if not np.any(lam**s * scale**2 > 0):
+        # not through PriorSpec: the study spans s at and below the
+        # intrinsic dimension on purpose, which PriorSpec refuses
+        scales.append(_mode_scales(alpha, s, lam))
+        if not np.any(lam**s * scales[-1]**2 > 0):
             raise ValueError(
                 "s=%g: the H^s weight lambda_i^s (alpha + lambda_i)^(-s/2) is 0 "
                 "for every mode, so no prior draw has a positive seminorm; the "

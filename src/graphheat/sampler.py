@@ -163,10 +163,11 @@ def _draw(rng, xi, uniforms):
     np.multiply(np.array(drawn, dtype=np.uint64) >> 11, 2.0**-53, out=uniforms)
 
 
-def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
+def _lockstep(scales, potentials, configs, readouts, surrogate):
     """Advance one chain, or GaussianMisfit chains of one shape, together.
 
-    The chains share every config field but the seed.  Returns one
+    scales holds each chain's prior scales, all of one length k.  The
+    chains share every config field but the seed.  Returns one
     ChainResult per chain, each equal bit for bit to the chain run alone.
     A single chain takes the scalar step, S = 0 without a surrogate, and
     calls even a GaussianMisfit, which costs fewer ufuncs per step than
@@ -176,8 +177,7 @@ def _lockstep(bases, prior_specs, potentials, configs, readouts, surrogate):
     config = configs[0]
     if chains > 1:
         batch = GaussianMisfit.batch(potentials)
-    beta_scales = config.beta * np.array(
-        [spec.truncated_scales(b) for b, spec in zip(bases, prior_specs)])
+    beta_scales = config.beta * np.array(scales)
     k = beta_scales.shape[1]
     contraction = np.sqrt(1.0 - config.beta**2)
     seeds = [c.seed for c in configs]
@@ -330,8 +330,9 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
             and (readout is None or len(readout) == chains)):
         raise ValueError("need one basis, prior spec, config and readout "
                          "per potential")
+    scales = [spec.truncated_scales(b) for b, spec in zip(basis, prior_spec)]
     for c, vector in enumerate(() if readout is None else readout):
-        k = prior_spec[c].truncated_scales(basis[c]).shape
+        k = scales[c].shape
         if np.shape(vector) != k:
             raise ValueError("readout %d: need shape %s, one entry per "
                              "coefficient, got %s" % (c, k, np.shape(vector)))
@@ -343,7 +344,7 @@ def pcn(basis, prior_spec, potential, config, readout=None, surrogate=None):
     results = [None] * chains
     for members in groups.values():
         args = [None if seq is None else [seq[c] for c in members]
-                for seq in (basis, prior_spec, potential, config, readout)]
+                for seq in (scales, potential, config, readout)]
         for c, chain in zip(members, _lockstep(*args, surrogate)):
             results[c] = chain
     return results[0] if single else ChainBatch(results)

@@ -86,6 +86,13 @@ def test_missing_config_file(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_run_refuses_an_empty_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GRAPHHEAT_RESULTS", raising=False)
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", cfg, "--out", ""]) == 2
+    assert "error: out: the output directory" in capsys.readouterr().err
+
+
 def test_run_and_rerun_from_manifest(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

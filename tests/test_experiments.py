@@ -143,6 +143,21 @@ def test_validate_field_errors(tmp_path):
         (C(kind="prior-sample", n=30, seed=-1), "seed"),
         # lambda^s is infinite on the zero eigenvalue for s < 0
         (C(kind="regularity", n=80, s_grid=(-1, 2), draws=3), "s_grid"),
+        # os.makedirs("") fails only after the whole run
+        (C(kind="spectra", n=60, out=""), "out"),
+        # one row per value check that no other test reaches
+        (C(kind="acceptance-sweep", n_grid=(), p=10), "n_grid"),
+        (C(kind="spectra", n=60, eps_multiplier=0.0), "eps_multiplier"),
+        (C(kind="posterior", n=60, p=10, iterations=0, burn_in=0),
+         "iterations"),
+        (C(kind="posterior", n=60, p=10, iterations=100, burn_in=100),
+         "burn_in"),
+        (C(kind="posterior", n=60, p=10, noise="laplace"), "noise"),
+        (C(kind="posterior", n=60, p=10, t=-0.1), "t"),
+        (C(kind="posterior", n=60, p=10, l_max=2), "l_max"),
+        (C(kind="regularity", n=80, s_grid=()), "s_grid"),
+        (C(kind="spectra", n=60, replicates=0), "replicates"),
+        (C(kind="spectra", n=60, grid_size=0), "grid_size"),
     ]:
         errs = validate_config(cfg)
         assert any(e.startswith(field + ": ") for e in errs), (cfg, errs)
@@ -152,6 +167,16 @@ def test_validate_field_errors(tmp_path):
     # lambda^0 = 1 on every mode, the zero eigenvalue included
     assert validate_config(C(kind="regularity", n=80, s_grid=(0, 2),
                              draws=3)) == []
+
+
+def test_run_refuses_an_empty_output_directory(monkeypatch):
+    # refused before the run draws its cloud, not by os.makedirs("") after
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ex, "sample_sphere", started)
+    with pytest.raises(ValueError, match="out: the output directory"):
+        run_experiment(ExperimentConfig(kind="spectra", n=60), out_dir="")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -7,10 +7,13 @@ from hypothesis import given, strategies as st
 from scipy import sparse
 
 from graphheat import (
+    ContinuumBasis,
     GeometricGraph,
     PointCloud,
     build_eps_graph,
     default_eps,
+    default_truncation,
+    heat,
     kernel_weight,
     laplacian,
     sphere_calibration,
@@ -72,6 +75,23 @@ def test_no_self_loops(sphere120, graph120):
 def test_eps_must_be_positive(sphere120):
     with pytest.raises(ValueError):
         build_eps_graph(sphere120, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda g: heat(np.ones(4), ContinuumBasis(1), math.nan),
+                 "t must be >= 0", id="heat-t"),
+    pytest.param(lambda g: laplacian(g, calibration=math.nan),
+                 "calibration must be positive", id="laplacian-calibration"),
+    pytest.param(lambda g: default_eps(100, 2, multiplier=math.nan),
+                 "multiplier must be positive", id="default_eps-multiplier"),
+    pytest.param(lambda g: default_truncation(100, math.nan, 2),
+                 "eps must be positive", id="default_truncation-eps"),
+])
+def test_nan_fails_the_library_guards(graph120, call, message):
+    # each guard is a comparison that a NaN fails, so NaN meets the guard's
+    # own message instead of a NaN result or an error further on
+    with pytest.raises(ValueError, match=message):
+        call(graph120)
 
 
 def test_disconnection_warning(caplog):

@@ -45,6 +45,13 @@ def test_spec_rejects_rough_prior():
                  id="sigma-nan"),
     pytest.param(lambda: NoiseModel("probit", math.inf), "sigma",
                  id="sigma-inf"),
+    # sample_graph_prior once failed on these with a bare TypeError
+    pytest.param(lambda: PriorSpec(alpha=1.0, s=5.0, k_n=2.5), "k_n",
+                 id="k_n-float"),
+    pytest.param(lambda: PriorSpec(alpha=1.0, s=5.0, k_n=math.nan), "k_n",
+                 id="k_n-nan"),
+    pytest.param(lambda: PriorSpec(alpha=1.0, s=5.0, k_n=True), "k_n",
+                 id="k_n-bool"),
 ])
 def test_non_finite_parameters_are_refused(build, field):
     with pytest.raises(ValueError, match=field):
@@ -58,6 +65,7 @@ def test_truncation_rules():
         spec.truncation(5)  # asking for more modes than were computed
     full = PriorSpec(alpha=1.0, s=5.0, k_n=UNTRUNCATED)
     assert full.truncation(100) == 100
+    assert PriorSpec(alpha=1.0, s=5.0, k_n=np.int64(7)).truncation(100) == 7
 
 
 def test_coefficient_scales_formula():
@@ -261,6 +269,15 @@ def test_regularity_experiment_validation(basis120, sphere120):
     rows = regularity_experiment(basis, cl, eps, (2, 8), draws=5, seed=700)
     assert [s for s, _ in rows] == [2.0, 8.0]
     assert all(math.isfinite(mx) and mx > 0 for _, mx in rows)
+
+
+def test_regularity_experiment_refuses_nan_alpha(basis120, sphere120):
+    # the study shares PriorSpec's alpha rule, whose comparisons a NaN
+    # fails; its own alpha <= 0 check let NaN through to an error naming s
+    with pytest.raises(ValueError, match="alpha") as err:
+        regularity_experiment(basis120, sphere120, 0.6, (2,), draws=1, seed=0,
+                              alpha=math.nan)
+    assert "s=" not in str(err.value)
 
 
 def test_regularity_experiment_refuses_negative_s(graph120, sphere120):
